@@ -50,16 +50,6 @@ class Message:
     publish_time: float
 
 
-@dataclass
-class DeliveryRecord:
-    """One delivery attempt. acked flips when the consumer confirms."""
-
-    message_id: int
-    consumer: str
-    deliver_time: float
-    acked: bool = False
-
-
 @dataclass(frozen=True)
 class Subscription:
     queue: str
@@ -75,7 +65,6 @@ class Queue:
         self.subscriber: str | None = None
         self.mirror: tuple[str, int] | None = None
         self.inflight: int | None = None  # delivered, not yet acked
-        self.deliveries: list[DeliveryRecord] = []
         self.published_total = 0
         self.acked_total = 0
         self._wake = None
@@ -260,7 +249,6 @@ class Broker:
         if msg is None:
             return None
         q.inflight = msg.id
-        q.deliveries.append(DeliveryRecord(msg.id, consumer, self.clock.now))
         return msg
 
     def ack(self, name: str, consumer: str, message_id: int) -> None:
@@ -273,10 +261,6 @@ class Broker:
         del q._messages[message_id]
         q.inflight = None
         q.acked_total += 1
-        for rec in reversed(q.deliveries):
-            if rec.message_id == message_id and rec.consumer == consumer:
-                rec.acked = True
-                break
         self._notify(q)
 
     def release_inflight(self, name: str) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,6 +78,10 @@ def _num(doc, key, errors, *, minimum=None, allow_none=False,
     if not isinstance(val, ok_types) or isinstance(val, bool):
         kind = "an integer" if integer else "a number"
         errors.append(f"{key}: must be {kind}, got {val!r}")
+        return None
+    # json.loads accepts NaN and Infinity, and NaN passes every comparison
+    if isinstance(val, float) and not math.isfinite(val):
+        errors.append(f"{key}: must be finite, got {val}")
         return None
     if minimum is not None and val < minimum:
         errors.append(f"{key}: must be >= {minimum}, got {val}")

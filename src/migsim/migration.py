@@ -16,16 +16,16 @@ StopAndCopy (baseline): pause the source, checkpoint, transfer, restore at
 the target, activate it on the main queue. The service is down for the whole
 span; inputs buffer in the main queue meanwhile, so nothing is rejected.
 
-A MigrationManager drives one migration. Control traffic rides dedicated
-broker queues as JSON payloads and is handled the instant it is delivered;
-manager hops cost no simulated time, so phase spans tile the record exactly.
+A MigrationManager drives one migration as a single state machine over
+(state, event) pairs. An event is a phase timer firing or a control message
+on one of three per-migration broker queues, whose payload is the bare ASCII
+event name; each is handled the instant it is delivered. Manager hops cost
+no simulated time, so phase spans tile the record exactly.
 """
 
 from __future__ import annotations
 
-import base64
 import enum
-import json
 import random
 from dataclasses import dataclass, field
 
@@ -213,34 +213,10 @@ def compute_metrics(record: MigrationRecord) -> MigrationMetrics:
 # -- control plane ----------------------------------------------------------
 
 
-def _ctl(msg_type: str, **fields) -> bytes:
-    fields["type"] = msg_type
-    return json.dumps(fields, sort_keys=True).encode("utf-8")
-
-
-def _checkpoint_to_wire(cp: Checkpoint) -> dict:
-    return {
-        "snapshot_b64": base64.b64encode(cp.snapshot).decode("ascii"),
-        "size_bytes": cp.size_bytes,
-        "created_at": cp.created_at,
-        "source_host": cp.source_host,
-        "checkpoint_last_id": cp.checkpoint_last_id,
-    }
-
-
-def _checkpoint_from_wire(d: dict) -> Checkpoint:
-    return Checkpoint(
-        snapshot=base64.b64decode(d["snapshot_b64"]),
-        size_bytes=d["size_bytes"],
-        created_at=d["created_at"],
-        source_host=d["source_host"],
-        checkpoint_last_id=d["checkpoint_last_id"],
-    )
-
-
 class ControlEndpoint:
     """Consumes one control queue, dispatching each message to a handler the
-    instant it is delivered. Control work costs no simulated time."""
+    instant it is delivered. A payload is a bare ASCII event name, and the
+    handler gets it decoded. Control work costs no simulated time."""
 
     def __init__(self, broker: Broker, queue: str, owner: str, handler):
         self.broker = broker
@@ -255,21 +231,70 @@ class ControlEndpoint:
             msg = self.broker.poll(self.queue, self.owner)
             if msg is None:
                 return
-            payload = json.loads(msg.payload.decode("utf-8"))
             self.broker.ack(self.queue, self.owner, msg.id)
-            self.handler(payload)
+            self.handler(msg.payload.decode("ascii"))
+
+
+class State(enum.Enum):
+    """Where a migration stands. MigrationManager lists the events each state
+    accepts."""
+
+    IDLE = "idle"
+    CHECKPOINT = "checkpoint"
+    TRANSFER = "transfer"
+    RESTORE = "restore"
+    REPLAY = "replay"
+    FREEZE = "freeze"
+    STOP = "stop"
+    HANDOFF = "handoff"
+    ABORT = "abort"
+    DONE = "done"
 
 
 # -- the manager -------------------------------------------------------------
 
 
 class MigrationManager:
-    """Drives a single migration of one service between two hosts.
+    """Drives a single migration of one service between two hosts as one
+    state machine.
 
-    The manager exchanges control messages with a source-side and a
-    target-side agent over per-migration control queues, records the phase
-    timeline as boundaries are crossed, and owns the replay monitor that
-    decides between handoff, waiting, and divergence abort.
+    Every step is an event: either a control message, whose payload is the
+    bare event name, delivered on one of three per-migration broker queues
+    (q_mgr, q_src, q_tgt), or a phase timer firing. _on_event looks the pair
+    (state, event) up in _TRANSITIONS and runs the step it names. An event
+    the table knows, arriving in a state that has no entry for it, is stale
+    (an abort or an earlier step overtook it) and is dropped; an event the
+    table does not know is a ProtocolError. Every outcome leaves through
+    _finish, which tears down, closes and checks the phase timeline, and
+    reports.
+
+    MS2M, state by state (event -> step):
+      CHECKPOINT  pause_request -> pause the source; pause_elapsed ->
+                  checkpoint it; checkpoint_elapsed -> mirror the main queue
+                  onto a secondary from the first id the checkpoint misses;
+                  continuation_elapsed -> resume the source; phase1_done ->
+                  TRANSFER
+      TRANSFER    transfer_elapsed -> RESTORE
+      RESTORE     restore_request, restore_elapsed -> restore the target and
+                  start its suppressed replay of the secondary; restored ->
+                  REPLAY
+      REPLAY      replay_idle, check_due -> the replay monitor decides:
+                  handoff -> FREEZE, abort -> ABORT
+      FREEZE      freeze -> freeze the target's replay; frozen -> STOP
+      STOP        stop_request -> stop the source; source_stopped -> the
+                  watermark is announced, HANDOFF
+      HANDOFF     watermark -> the target replays up to the watermark and
+                  switches onto the main queue; switched -> Completed
+      ABORT       discard -> stop the target; discarded -> AbortedDivergence
+
+    StopAndCopy: CHECKPOINT (the source stops after its checkpoint), then
+    TRANSFER, then HANDOFF: restore_request, restore_elapsed,
+    activation_elapsed -> the target serves the main queue; switched ->
+    Completed.
+
+    In HANDOFF the source's part is over, so a source crash no longer
+    matters. In any earlier state it ends the migration as
+    AbortedSourceCrash.
 
     Hooks: on_complete(record, serving_instance_or_None),
     on_phase_entered(phase, time_ms), on_instance_created(instance).
@@ -311,27 +336,22 @@ class MigrationManager:
         self.q_tgt = f"ctl.{migration_id}.tgt"
 
         self.record: MigrationRecord | None = None
-        self.state = "idle"
-        self.aborted = False
+        self.state = State.IDLE
         self.checkpoint: Checkpoint | None = None
         self.secondary_queue: str | None = None
         self.target_instance: ServiceInstance | None = None
         self._spans: list[PhaseSpan] = []
         self._current_phase: tuple[Phase, float] | None = None
-        self._watermark_announced = False
-        self._transfer_complete = False
         self._replay_started_at = 0.0
         self._streak = 0
         self._last_rates = (0.0, 0.0)
         self._prev_counts = (0, 0)
         self._monitor_event = None
-        self._source_agent = None
-        self._target_agent = None
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        if self.state != "idle":
+        if self.state is not State.IDLE:
             raise ProtocolError("migration already started")
         self.record = MigrationRecord(
             technique=self.technique,
@@ -340,14 +360,22 @@ class MigrationManager:
             phase_timeline=self._spans,
         )
         if self.source.crashed or self.source.mode is not Mode.SERVING:
-            self._finish_crash_abort()
+            self._finish(Outcome.ABORTED_SOURCE_CRASH)
             return
-        ControlEndpoint(self.broker, self.q_mgr,
-                        f"mgr.{self.migration_id}", self._on_ctl)
-        self._source_agent = _SourceAgent(self)
-        self._target_agent = _TargetAgent(self)
-        self.state = "phase1"
-        self.broker.publish(self.q_src, _ctl("pause_request"))
+        for queue, owner in ((self.q_mgr, "mgr"), (self.q_src, "agent.src"),
+                             (self.q_tgt, "agent.tgt")):
+            ControlEndpoint(self.broker, queue, f"{owner}.{self.migration_id}",
+                            self._on_event)
+        self.state = State.CHECKPOINT
+        self._send(self.q_src, "pause_request")
+
+    def on_source_crash(self) -> None:
+        """Source died. In HANDOFF its part is already over (watermark
+        announced, or checkpoint fully transferred in StopAndCopy) and the
+        migration proceeds; before that, abort and report what was lost
+        rather than promote a target that could duplicate or drop outputs."""
+        if self.state not in (State.IDLE, State.HANDOFF, State.DONE):
+            self._finish(Outcome.ABORTED_SOURCE_CRASH)
 
     def enter_phase(self, phase: Phase) -> None:
         now = self.clock.now
@@ -364,68 +392,172 @@ class MigrationManager:
             self._spans.append(PhaseSpan(name.value, start, self.clock.now))
             self._current_phase = None
 
-    # -- control handling ----------------------------------------------------
+    def _finish(self, outcome: Outcome) -> None:
+        """The single exit: tear down, close and check the phase timeline,
+        record the outcome and report it."""
+        rec = self.record
+        if outcome is Outcome.ABORTED_SOURCE_CRASH:
+            # only a crash cancels a pending replay check; after a handoff or
+            # divergence decision it fires and is dropped as stale, and the
+            # golden event counts include that firing
+            if self._monitor_event is not None:
+                self.clock.cancel(self._monitor_event)
+            published = self.broker.queue(self.main_queue).published_total
+            last = self.source.state.last_processed_id
+            rec.crash_info = {
+                "source_last_processed": last,
+                "published_total": published,
+                "unemitted_count": published - last,
+            }
+        target = self.target_instance
+        if outcome is not Outcome.COMPLETED and target is not None:
+            target.stop()  # a no-op once a discard has stopped it
+        if self.secondary_queue is not None:
+            # the mirror starts with the secondary and runs until here
+            self.broker.stop_mirror(self.main_queue)
+            self.broker.delete_queue(self.secondary_queue)
+        self._close_phases()
+        rec.validate_timeline()
+        if target is not None:
+            rec.replayed_count = target.replayed_count
+        rec.outcome = outcome
+        rec.completed_at = self.clock.now
+        self.state = State.DONE
+        if self.on_complete is not None:
+            self.on_complete(
+                rec, target if outcome is Outcome.COMPLETED else None)
 
-    def _on_ctl(self, msg: dict) -> None:
-        if self.state == "done":
-            return
-        kind = msg["type"]
-        if kind == "phase1_done":
-            self._phase1_done()
-        elif kind == "restored":
-            self._replay_started()
-        elif kind == "replay_idle":
-            if self.state == "replay":
-                self._evaluate()
-        elif kind == "frozen":
-            if self.state == "freezing":
-                self.state = "stopping"
-                self.broker.publish(self.q_src, _ctl("stop_request"))
-        elif kind == "source_stopped":
-            self.record.watermark = msg["watermark"]
-            self._watermark_announced = True
-        elif kind == "switched":
-            self._switched(msg)
-        elif kind == "discarded":
-            self._finish_divergence_abort()
-        else:
-            raise ProtocolError(f"unknown control message {kind!r}")
+    # -- events -------------------------------------------------------------
 
-    def _phase1_done(self) -> None:
-        if self.aborted:
+    def _send(self, queue: str, event: str) -> None:
+        self.broker.publish(queue, event.encode("ascii"))
+
+    def _after(self, delay_ms: float, event: str):
+        return self.clock.schedule(delay_ms, lambda: self._on_event(event))
+
+    def _on_event(self, event: str) -> None:
+        step = self._TRANSITIONS.get((self.state, event))
+        if step is not None:
+            step(self)
+        elif event not in self._EVENTS:
+            raise ProtocolError(f"unknown control event {event!r}")
+
+    # -- source-side steps ----------------------------------------------------
+
+    def _pause_source(self) -> None:
+        self.enter_phase(Phase.PAUSE)
+        self.source.pause()
+        self._after(self.pause_ms, "pause_elapsed")
+
+    def _checkpoint_source(self) -> None:
+        self.enter_phase(Phase.CHECKPOINT)
+        size = state_size_bytes(self.source.state)
+        self._after(checkpoint_duration(self.source_host, size),
+                    "checkpoint_elapsed")
+
+    def _checkpoint_taken(self) -> None:
+        cp = self.source.create_checkpoint()
+        self.checkpoint = cp
+        self.record.checkpoint_size_bytes = cp.size_bytes
+        if self.technique is Technique.STOP_AND_COPY:
+            self.source.stop()
+            self._send(self.q_mgr, "phase1_done")
             return
+        self.secondary_queue = f"{self.main_queue}.sec.{self.migration_id}"
+        self.broker.create_queue(self.secondary_queue)
+        # the secondary must hold every id the checkpoint does not cover,
+        # including messages buffered while the source was paused
+        self.broker.start_mirror(self.main_queue, self.secondary_queue,
+                                 cp.checkpoint_last_id + 1)
+        self.enter_phase(Phase.CONTINUATION)
+        self._after(self.continuation_ms, "continuation_elapsed")
+
+    def _resume_source(self) -> None:
+        self.source.resume(self.main_queue)
+        self._send(self.q_mgr, "phase1_done")
+
+    def _stop_source(self) -> None:
+        self.source.request_stop(self._source_stopped)
+
+    def _source_stopped(self, _source: ServiceInstance) -> None:
+        self._send(self.q_mgr, "source_stopped")
+        # the source announces the watermark to the target directly
+        self._send(self.q_tgt, "watermark")
+
+    # -- target-side steps ----------------------------------------------------
+
+    def _restore(self) -> None:
+        self.enter_phase(Phase.RESTORATION)
+        self._after(restore_duration(self.target_host,
+                                     self.checkpoint.size_bytes),
+                    "restore_elapsed")
+
+    def _restored(self) -> None:
+        inst = ServiceInstance.restore(
+            self.checkpoint, self.target_host, self.clock, self.broker,
+            self.processing_ms, self.output_topic,
+            instance_id=f"{self.service_id}@{self.target_host.id}",
+            shadow=self.shadow)
+        self.target_instance = inst
+        if self.on_instance_created is not None:
+            self.on_instance_created(inst)
+        if self.technique is Technique.STOP_AND_COPY:
+            # activation: the restored container still pays the unpause cost
+            # before it can serve; it lands inside the restoration span
+            self._after(self.continuation_ms, "activation_elapsed")
+            return
+        self.enter_phase(Phase.REPLAY)
+        self._send(self.q_mgr, "restored")
+        inst.on_idle = lambda _inst: self._send(self.q_mgr, "replay_idle")
+        inst.enter_replay(self.secondary_queue)
+
+    def _activate(self) -> None:
+        self.enter_phase(Phase.FINALIZATION)
+        self.target_instance.start_serving(self.main_queue)
+        self._send(self.q_mgr, "switched")
+
+    def _freeze_target(self) -> None:
+        self.target_instance.freeze_replay(
+            lambda _inst: self._send(self.q_mgr, "frozen"))
+
+    def _finish_replay(self) -> None:
+        self.target_instance.finish_replay(
+            self.record.watermark, self.main_queue, self._target_switched)
+
+    def _target_switched(self, _target: ServiceInstance) -> None:
+        self.enter_phase(Phase.FINALIZATION)
+        self._send(self.q_mgr, "switched")
+
+    def _discard_target(self) -> None:
+        self.target_instance.stop()
+        self._send(self.q_mgr, "discarded")
+
+    # -- manager steps and the replay monitor ---------------------------------
+
+    def _transfer(self) -> None:
         self.enter_phase(Phase.TRANSFER)
-        self.state = "transfer"
+        self.state = State.TRANSFER
         dur = transfer_duration(self.link, self.checkpoint.size_bytes, self.rng)
-        self.clock.schedule(dur, self._transfer_done)
+        self._after(dur, "transfer_elapsed")
 
-    def _transfer_done(self) -> None:
-        if self.aborted or self.state != "transfer":
-            return
-        self._transfer_complete = True
-        self.state = "restoring"
-        replay = self.technique is Technique.MS2M
-        self.broker.publish(self.q_tgt, _ctl(
-            "restore_request",
-            checkpoint=_checkpoint_to_wire(self.checkpoint),
-            replay=replay,
-        ))
+    def _transferred(self) -> None:
+        # a StopAndCopy source is stopped and its checkpoint has arrived:
+        # its part is over
+        self.state = (State.RESTORE if self.technique is Technique.MS2M
+                      else State.HANDOFF)
+        self._send(self.q_tgt, "restore_request")
 
-    def _replay_started(self) -> None:
-        if self.aborted:
-            return
-        self.state = "replay"
+    def _begin_replay(self) -> None:
+        self.state = State.REPLAY
         self._replay_started_at = self.clock.now
         sec = self.broker.queue(self.secondary_queue)
         self._prev_counts = (sec.published_total,
                              self.target_instance.replayed_count)
         self._streak = 0
-        self._monitor_event = self.clock.schedule(
-            self.policy.check_interval_ms, self._periodic_check)
+        self._monitor_event = self._after(self.policy.check_interval_ms,
+                                          "check_due")
 
     def _periodic_check(self) -> None:
-        if self.state != "replay":
-            return
         sec = self.broker.queue(self.secondary_queue)
         pub, rep = sec.published_total, self.target_instance.replayed_count
         dt = self.policy.check_interval_ms
@@ -437,15 +569,8 @@ class MigrationManager:
             self._streak += 1
         else:
             self._streak = 0
-        decision = self._decide()
-        if decision is Decision.CONTINUE:
-            self._monitor_event = self.clock.schedule(dt, self._periodic_check)
-
-    def _evaluate(self) -> None:
-        decision = self._decide()
-        if decision is Decision.CONTINUE and self._monitor_event is None:
-            self._monitor_event = self.clock.schedule(
-                self.policy.check_interval_ms, self._periodic_check)
+        if self._decide() is Decision.CONTINUE:
+            self._monitor_event = self._after(dt, "check_due")
 
     def _decide(self) -> Decision:
         backlog = len(self.broker.queue(self.secondary_queue))
@@ -454,245 +579,54 @@ class MigrationManager:
         decision = decide_handoff(backlog, arrival, processing, elapsed,
                                   self.policy, self._streak)
         if decision is Decision.HANDOFF:
-            self.state = "freezing"
-            self.broker.publish(self.q_tgt, _ctl("freeze"))
+            self.state = State.FREEZE
+            self._send(self.q_tgt, "freeze")
         elif decision is Decision.ABORT:
             timeout = self.policy.replay_timeout_ms
-            reason = ("timeout" if timeout is not None and elapsed > timeout
-                      else "overload")
-            self._begin_divergence_abort(reason)
+            self.record.abort_reason = (
+                "timeout" if timeout is not None and elapsed > timeout
+                else "overload")
+            self.state = State.ABORT
+            self._send(self.q_tgt, "discard")
         return decision
 
-    def _switched(self, msg: dict) -> None:
-        self.record.replayed_count = msg.get("replayed", 0)
-        if self.technique is Technique.MS2M:
-            self.broker.stop_mirror(self.main_queue)
-            self.broker.delete_queue(self.secondary_queue)
-        self._complete(Outcome.COMPLETED)
+    def _request_source_stop(self) -> None:
+        self.state = State.STOP
+        self._send(self.q_src, "stop_request")
 
-    def _complete(self, outcome: Outcome) -> None:
-        self._close_phases()
-        self.record.outcome = outcome
-        self.record.completed_at = self.clock.now
-        self.state = "done"
-        if self.on_complete is not None:
-            serving = self.target_instance if outcome is Outcome.COMPLETED else None
-            self.on_complete(self.record, serving)
+    def _announce_watermark(self) -> None:
+        # the source is stopped, so its last processed id no longer moves
+        self.record.watermark = self.source.state.last_processed_id
+        self.state = State.HANDOFF
 
-    # -- aborts ---------------------------------------------------------------
+    # -- the transition table -------------------------------------------------
 
-    def _begin_divergence_abort(self, reason: str) -> None:
-        self.state = "aborting"
-        self.record.abort_reason = reason
-        self.broker.publish(self.q_tgt, _ctl("discard"))
-
-    def _finish_divergence_abort(self) -> None:
-        """Roll back: target discarded, mirror stopped, secondary deleted.
-        The source kept serving, so the workload never notices."""
-        if self.secondary_queue is not None:
-            main = self.broker.queue(self.main_queue)
-            if main.mirror is not None:
-                self.broker.stop_mirror(self.main_queue)
-            self.broker.delete_queue(self.secondary_queue)
-        self._close_phases()
-        if self.target_instance is not None:
-            self.record.replayed_count = self.target_instance.replayed_count
-        self.record.outcome = Outcome.ABORTED_DIVERGENCE
-        self.record.completed_at = self.clock.now
-        self.state = "done"
-        if self.on_complete is not None:
-            self.on_complete(self.record, None)
-
-    def on_source_crash(self) -> None:
-        """Source died. If its part is already over (watermark announced, or
-        checkpoint fully transferred in StopAndCopy) the migration proceeds;
-        otherwise abort and report what was lost rather than promote a target
-        that could duplicate or drop outputs."""
-        if self.state in ("done", "idle") or self.record is None:
-            return
-        if self._watermark_announced:
-            return
-        if (self.technique is Technique.STOP_AND_COPY
-                and self._transfer_complete):
-            return
-        self._finish_crash_abort()
-
-    def _finish_crash_abort(self) -> None:
-        self.aborted = True
-        if self._monitor_event is not None:
-            self.clock.cancel(self._monitor_event)
-            self._monitor_event = None
-        if self.target_instance is not None:
-            self.target_instance.stop()
-        if self.secondary_queue is not None and self.broker.has_queue(self.secondary_queue):
-            main = self.broker.queue(self.main_queue)
-            if main.mirror is not None:
-                self.broker.stop_mirror(self.main_queue)
-            self.broker.delete_queue(self.secondary_queue)
-        self._close_phases()
-        if self.target_instance is not None:
-            self.record.replayed_count = self.target_instance.replayed_count
-        main = self.broker.queue(self.main_queue)
-        last = self.source.state.last_processed_id
-        self.record.outcome = Outcome.ABORTED_SOURCE_CRASH
-        self.record.completed_at = self.clock.now
-        self.record.crash_info = {
-            "source_last_processed": last,
-            "published_total": main.published_total,
-            "unemitted_count": main.published_total - last,
-        }
-        self.state = "done"
-        if self.on_complete is not None:
-            self.on_complete(self.record, None)
-
-
-class _SourceAgent:
-    """Executes source-side phase work: pause, checkpoint, mirror setup,
-    resume, and the stop that fixes the watermark."""
-
-    def __init__(self, mgr: MigrationManager):
-        self.mgr = mgr
-        ControlEndpoint(mgr.broker, mgr.q_src,
-                        f"agent.src.{mgr.migration_id}", self._on_msg)
-
-    def _on_msg(self, msg: dict) -> None:
-        mgr = self.mgr
-        if mgr.aborted or mgr.state == "done":
-            return
-        kind = msg["type"]
-        if kind == "pause_request":
-            mgr.enter_phase(Phase.PAUSE)
-            mgr.source.pause()
-            mgr.clock.schedule(mgr.pause_ms, self._begin_checkpoint)
-        elif kind == "stop_request":
-            mgr.source.request_stop(self._stopped)
-        else:
-            raise ProtocolError(f"source agent got {kind!r}")
-
-    def _begin_checkpoint(self) -> None:
-        mgr = self.mgr
-        if mgr.aborted:
-            return
-        mgr.enter_phase(Phase.CHECKPOINT)
-        size = state_size_bytes(mgr.source.state)
-        mgr.clock.schedule(checkpoint_duration(mgr.source_host, size),
-                           self._finish_checkpoint)
-
-    def _finish_checkpoint(self) -> None:
-        mgr = self.mgr
-        if mgr.aborted:
-            return
-        cp = mgr.source.create_checkpoint()
-        mgr.checkpoint = cp
-        mgr.record.checkpoint_size_bytes = cp.size_bytes
-        if mgr.technique is Technique.MS2M:
-            mgr.secondary_queue = f"{mgr.main_queue}.sec.{mgr.migration_id}"
-            mgr.broker.create_queue(mgr.secondary_queue)
-            # the secondary must hold every id the checkpoint does not cover,
-            # including messages buffered while the source was paused
-            mgr.broker.start_mirror(mgr.main_queue, mgr.secondary_queue,
-                                    cp.checkpoint_last_id + 1)
-            mgr.enter_phase(Phase.CONTINUATION)
-            mgr.clock.schedule(mgr.continuation_ms, self._finish_resume)
-        else:
-            mgr.source.stop()
-            self._phase1_done()
-
-    def _finish_resume(self) -> None:
-        mgr = self.mgr
-        if mgr.aborted:
-            return
-        mgr.source.resume(mgr.main_queue)
-        self._phase1_done()
-
-    def _phase1_done(self) -> None:
-        self.mgr.broker.publish(self.mgr.q_mgr, _ctl("phase1_done"))
-
-    def _stopped(self, instance: ServiceInstance) -> None:
-        mgr = self.mgr
-        watermark = instance.state.last_processed_id
-        mgr.broker.publish(mgr.q_mgr, _ctl("source_stopped",
-                                           watermark=watermark))
-        # the source announces the watermark to the target directly
-        mgr.broker.publish(mgr.q_tgt, _ctl("watermark", watermark=watermark))
-
-
-class _TargetAgent:
-    """Executes target-side phase work: restore, suppressed replay, freeze,
-    watermark finish, and the switch onto the main queue."""
-
-    def __init__(self, mgr: MigrationManager):
-        self.mgr = mgr
-        self.instance: ServiceInstance | None = None
-        self._checkpoint: Checkpoint | None = None
-        ControlEndpoint(mgr.broker, mgr.q_tgt,
-                        f"agent.tgt.{mgr.migration_id}", self._on_msg)
-
-    def _on_msg(self, msg: dict) -> None:
-        mgr = self.mgr
-        kind = msg["type"]
-        if kind == "discard":
-            if self.instance is not None:
-                self.instance.stop()
-            mgr.broker.publish(mgr.q_mgr, _ctl("discarded"))
-            return
-        if mgr.aborted or mgr.state == "done":
-            return
-        if kind == "restore_request":
-            mgr.enter_phase(Phase.RESTORATION)
-            self._checkpoint = _checkpoint_from_wire(msg["checkpoint"])
-            self._replay = msg["replay"]
-            mgr.clock.schedule(
-                restore_duration(mgr.target_host, self._checkpoint.size_bytes),
-                self._restored)
-        elif kind == "freeze":
-            self.instance.freeze_replay(self._frozen)
-        elif kind == "watermark":
-            self.instance.finish_replay(msg["watermark"], mgr.main_queue,
-                                        self._switched)
-        else:
-            raise ProtocolError(f"target agent got {kind!r}")
-
-    def _restored(self) -> None:
-        mgr = self.mgr
-        if mgr.aborted:
-            return
-        inst = ServiceInstance.restore(
-            self._checkpoint, mgr.target_host, mgr.clock, mgr.broker,
-            mgr.processing_ms, mgr.output_topic,
-            instance_id=f"{mgr.service_id}@{mgr.target_host.id}",
-            shadow=mgr.shadow)
-        self.instance = inst
-        mgr.target_instance = inst
-        if mgr.on_instance_created is not None:
-            mgr.on_instance_created(inst)
-        if self._replay:
-            mgr.enter_phase(Phase.REPLAY)
-            mgr.broker.publish(mgr.q_mgr, _ctl("restored"))
-            inst.on_idle = self._replay_idle
-            inst.enter_replay(mgr.secondary_queue)
-        else:
-            # activation: the restored container still pays the unpause cost
-            # before it can serve; it lands inside the restoration span
-            mgr.clock.schedule(mgr.continuation_ms, self._activated)
-
-    def _activated(self) -> None:
-        mgr = self.mgr
-        if mgr.aborted:
-            return
-        mgr.enter_phase(Phase.FINALIZATION)
-        self.instance.start_serving(mgr.main_queue)
-        mgr.broker.publish(mgr.q_mgr, _ctl("switched", replayed=0))
-
-    def _replay_idle(self, _instance: ServiceInstance) -> None:
-        self.mgr.broker.publish(self.mgr.q_mgr, _ctl("replay_idle"))
-
-    def _frozen(self, instance: ServiceInstance) -> None:
-        self.mgr.broker.publish(self.mgr.q_mgr, _ctl(
-            "frozen", progress=instance.state.last_processed_id))
-
-    def _switched(self, instance: ServiceInstance) -> None:
-        mgr = self.mgr
-        mgr.enter_phase(Phase.FINALIZATION)
-        mgr.broker.publish(mgr.q_mgr, _ctl(
-            "switched", replayed=instance.replayed_count))
+    _TRANSITIONS = {
+        (State.CHECKPOINT, "pause_request"): _pause_source,
+        (State.CHECKPOINT, "pause_elapsed"): _checkpoint_source,
+        (State.CHECKPOINT, "checkpoint_elapsed"): _checkpoint_taken,
+        (State.CHECKPOINT, "continuation_elapsed"): _resume_source,
+        (State.CHECKPOINT, "phase1_done"): _transfer,
+        (State.TRANSFER, "transfer_elapsed"): _transferred,
+        (State.RESTORE, "restore_request"): _restore,
+        (State.RESTORE, "restore_elapsed"): _restored,
+        (State.RESTORE, "restored"): _begin_replay,
+        (State.REPLAY, "replay_idle"): _decide,
+        (State.REPLAY, "check_due"): _periodic_check,
+        (State.FREEZE, "freeze"): _freeze_target,
+        (State.FREEZE, "frozen"): _request_source_stop,
+        (State.STOP, "stop_request"): _stop_source,
+        (State.STOP, "source_stopped"): _announce_watermark,
+        (State.HANDOFF, "watermark"): _finish_replay,
+        (State.HANDOFF, "restore_request"): _restore,
+        (State.HANDOFF, "restore_elapsed"): _restored,
+        (State.HANDOFF, "activation_elapsed"): _activate,
+        (State.HANDOFF, "switched"): lambda m: m._finish(Outcome.COMPLETED),
+        (State.ABORT, "discard"): _discard_target,
+        # a crash abort can overtake a discard on its way to the target,
+        # which still acknowledges it
+        (State.DONE, "discard"): _discard_target,
+        (State.ABORT, "discarded"):
+            lambda m: m._finish(Outcome.ABORTED_DIVERGENCE),
+    }
+    _EVENTS = frozenset(event for _state, event in _TRANSITIONS)

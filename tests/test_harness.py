@@ -182,6 +182,20 @@ def test_parse_collects_every_error():
         assert any(m.startswith(prefix) for m in messages), prefix
     assert len(messages) >= 5
 
+    nan, inf = float("nan"), float("inf")
+    doc = _doc(service={"processing_ms": nan},
+               links=[{"source": "a", "target": "b", "latency_ms": nan}],
+               workload={"kind": "ConstantRate", "arrival_rate": 40,
+                         "duration_ms": inf})
+    doc["migration"]["trigger_ms"] = nan
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(doc)
+    messages = err.value.errors
+    for prefix in ("processing_ms:", "latency_ms:", "duration_ms:",
+                   "trigger_ms:"):
+        assert any(m.startswith(prefix) and "must be finite" in m
+                   for m in messages), prefix
+
 
 def test_parse_validates_topology():
     doc = _doc(links=[
@@ -324,6 +338,12 @@ def test_cli_validate(tmp_path, capsys):
     assert main(["validate", str(broken)]) == 1
     err = capsys.readouterr().err
     assert "hosts:" in err
+
+    # json writes the NaN token, which json.loads reads back as a float
+    doc = _doc(trials=1)
+    doc["migration"]["trigger_ms"] = float("nan")
+    assert main(["validate", str(_write_scenario(tmp_path, doc))]) == 1
+    assert "trigger_ms: must be finite" in capsys.readouterr().err
 
 
 def test_cli_compare(tmp_path, capsys):

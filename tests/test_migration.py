@@ -174,6 +174,10 @@ def test_simulation_guards():
     sim.run()
     with pytest.raises(SimError):
         sim.run()
+    # a control event the migration protocol does not know is refused
+    sim.broker.publish(sim.manager.q_mgr, b"teleport")
+    with pytest.raises(ProtocolError, match="teleport"):
+        sim.clock.run_until()
 
 
 def test_fault_spec_validation():
