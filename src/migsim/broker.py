@@ -50,12 +50,6 @@ class Message:
     publish_time: float
 
 
-@dataclass(frozen=True)
-class Subscription:
-    queue: str
-    consumer: str
-
-
 class Queue:
     def __init__(self, name: str):
         self.name = name
@@ -185,7 +179,7 @@ class Broker:
 
     # -- subscription ------------------------------------------------------
 
-    def subscribe(self, name: str, consumer: str, on_wake=None) -> Subscription:
+    def subscribe(self, name: str, consumer: str, on_wake=None) -> None:
         """Attach the single consumer of a queue.
 
         Delivery resumes at the oldest unacknowledged message. on_wake fires
@@ -199,7 +193,6 @@ class Broker:
         q.subscriber = consumer
         q._wake = on_wake
         self._notify(q)
-        return Subscription(name, consumer)
 
     def unsubscribe(self, name: str, consumer: str) -> None:
         """Detach the consumer. Unacknowledged messages stay buffered and any
@@ -262,9 +255,3 @@ class Broker:
         q.inflight = None
         q.acked_total += 1
         self._notify(q)
-
-    def release_inflight(self, name: str) -> None:
-        """Put an unacked in-flight message back up for delivery (consumer
-        paused or died before acking)."""
-        q = self._queue(name)
-        q.inflight = None

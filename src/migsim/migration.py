@@ -473,7 +473,7 @@ class MigrationManager:
         self._after(self.continuation_ms, "continuation_elapsed")
 
     def _resume_source(self) -> None:
-        self.source.resume(self.main_queue)
+        self.source.start_serving(self.main_queue)
         self._send(self.q_mgr, "phase1_done")
 
     def _stop_source(self) -> None:

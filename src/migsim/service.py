@@ -22,7 +22,7 @@ import enum
 import struct
 from dataclasses import dataclass, field
 
-from .broker import Broker, Message, Subscription
+from .broker import Broker, Message
 from .simnet import Host, SimClock
 
 Scalar = int | bytes | str
@@ -57,9 +57,6 @@ class SerializationError(ServiceError):
 class ServiceState:
     data: dict[str, Scalar] = field(default_factory=dict)
     last_processed_id: int = 0
-
-    def copy(self) -> "ServiceState":
-        return ServiceState(dict(self.data), self.last_processed_id)
 
 
 _TAG_INT = 0x01
@@ -145,7 +142,6 @@ class Checkpoint:
 
     snapshot: bytes
     size_bytes: int
-    created_at: float
     source_host: str
     checkpoint_last_id: int
 
@@ -209,8 +205,8 @@ class ServiceInstance:
     completion time, so a pause or crash before completion leaves the message
     fully unapplied and still buffered for redelivery.
 
-    Hooks (all optional): on_mode_change(instance, old, new),
-    on_applied(instance, message), on_idle(instance).
+    Hooks (all optional): on_mode_change(instance, old, new) after every mode
+    change, on_idle(instance) when a drained queue leaves nothing to poll.
     """
 
     def __init__(self, instance_id: str, host: Host, state: ServiceState,
@@ -227,23 +223,18 @@ class ServiceInstance:
         self.output_topic = output_topic
         self._mode = Mode.PAUSED
         self.crashed = False
-        self.subscription: Subscription | None = None
         self.replayed_count = 0
         self.rejected_count = 0
         self.applied_count = 0
         self.shadow_outputs: list[bytes] | None = [] if shadow else None
         self.on_mode_change = None
-        self.on_applied = None
         self.on_idle = None
-        self._pending = None
-        self._inflight: Message | None = None
+        self._queue: str | None = None  # consumed as instance_id
+        self._pending = None            # the in-flight message's completion
+        self._then = None               # step deferred until that completion
         self._idle = True
         self._frozen = False
-        self._freeze_cb = None
-        self._stop_cb = None
-        self._replay_limit: int | None = None
-        self._switch_target: str | None = None
-        self._switch_cb = None
+        self._handoff = None            # (watermark, main_queue, on_switched)
 
     # -- mode handling -------------------------------------------------------
 
@@ -269,16 +260,42 @@ class ServiceInstance:
     def busy(self) -> bool:
         return self._pending is not None
 
+    def _attach(self, queue: str, mode: Mode, on_attached=None) -> None:
+        self.broker.subscribe(queue, self.instance_id, on_wake=self._on_wake)
+        self._queue = queue
+        self._set_mode(mode)
+        self._idle = False
+        if on_attached is not None:
+            on_attached(self)
+        self._try_next()
+
+    def _leave(self, mode: Mode) -> None:
+        """Detach from the queue. An in-flight message is dropped unapplied,
+        together with any step waiting for it; the broker redelivers it to
+        the next consumer."""
+        if self._pending is not None:
+            self.clock.cancel(self._pending)
+            self._pending = None
+            self._then = None
+        if self._queue is not None:
+            self.broker.unsubscribe(self._queue, self.instance_id)
+            self._queue = None
+        self._set_mode(mode)
+
+    def _when_quiescent(self, step) -> None:
+        """Run step now, or once the in-flight message has completed."""
+        if self._pending is None:
+            step()
+        else:
+            self._then = step
+
     # -- lifecycle -----------------------------------------------------------
 
     def start_serving(self, queue: str) -> None:
-        """Subscribe to queue and serve with outputs enabled."""
+        """Subscribe to queue and serve with outputs enabled. Consumption
+        starts at the oldest unacknowledged message."""
         self._require(Mode.PAUSED)
-        self.subscription = self.broker.subscribe(
-            queue, self.instance_id, on_wake=self._on_wake)
-        self._set_mode(Mode.SERVING)
-        self._idle = False
-        self._try_next()
+        self._attach(queue, Mode.SERVING)
 
     def pause(self) -> None:
         """Halt consumption and detach from the queue.
@@ -288,23 +305,7 @@ class ServiceInstance:
         up fully unapplied rather than half-applied.
         """
         self._require(Mode.SERVING)
-        self._cancel_inflight()
-        sub = self.subscription
-        self.broker.unsubscribe(sub.queue, sub.consumer)
-        self.subscription = None
-        self._set_mode(Mode.PAUSED)
-
-    def resume(self, queue: str) -> None:
-        """Reattach a paused instance; consumption restarts at the oldest
-        unacknowledged message."""
-        self._require(Mode.PAUSED)
-        if self.crashed:
-            raise ModeError(f"{self.instance_id} crashed; cannot resume")
-        self.subscription = self.broker.subscribe(
-            queue, self.instance_id, on_wake=self._on_wake)
-        self._set_mode(Mode.SERVING)
-        self._idle = False
-        self._try_next()
+        self._leave(Mode.PAUSED)
 
     def create_checkpoint(self) -> Checkpoint:
         """Freeze the paused state into a transferable snapshot. The caller
@@ -314,7 +315,6 @@ class ServiceInstance:
         return Checkpoint(
             snapshot=snapshot,
             size_bytes=len(snapshot),
-            created_at=self.clock.now,
             source_host=self.host.id,
             checkpoint_last_id=self.state.last_processed_id,
         )
@@ -333,11 +333,7 @@ class ServiceInstance:
         """Consume queue with outputs suppressed. State advances; nothing is
         published."""
         self._require(Mode.PAUSED)
-        self.subscription = self.broker.subscribe(
-            queue, self.instance_id, on_wake=self._on_wake)
-        self._set_mode(Mode.REPLAYING)
-        self._idle = False
-        self._try_next()
+        self._attach(queue, Mode.REPLAYING)
 
     def freeze_replay(self, on_frozen) -> None:
         """Stop pulling from the replay queue. If a message is in flight its
@@ -345,10 +341,7 @@ class ServiceInstance:
         the instance is quiescent."""
         self._require(Mode.REPLAYING)
         self._frozen = True
-        if self._pending is not None:
-            self._freeze_cb = on_frozen
-        else:
-            on_frozen(self)
+        self._when_quiescent(lambda: on_frozen(self))
 
     def finish_replay(self, watermark: int, main_queue: str, on_switched) -> None:
         """Replay the remaining backlog up to and including watermark, then
@@ -363,9 +356,7 @@ class ServiceInstance:
             raise ProtocolError(
                 f"watermark {watermark} below already-applied id "
                 f"{self.state.last_processed_id}")
-        self._replay_limit = watermark
-        self._switch_target = main_queue
-        self._switch_cb = on_switched
+        self._handoff = (watermark, main_queue, on_switched)
         self._frozen = False
         self._try_next()
 
@@ -374,22 +365,18 @@ class ServiceInstance:
         source side of a handoff; on_stopped(instance) fires once stopped,
         with state.last_processed_id as the watermark value."""
         self._require(Mode.SERVING)
-        if self._pending is not None:
-            self._stop_cb = on_stopped
-        else:
-            self._do_stop(on_stopped)
+
+        def stop_then_report():
+            self._leave(Mode.STOPPED)
+            on_stopped(self)
+
+        self._when_quiescent(stop_then_report)
 
     def stop(self) -> None:
         """Immediate stop (discard path). Any in-flight message is released
         unapplied."""
-        if self._mode is Mode.STOPPED:
-            return
-        self._cancel_inflight()
-        if self.subscription is not None:
-            self.broker.unsubscribe(self.subscription.queue,
-                                    self.subscription.consumer)
-            self.subscription = None
-        self._set_mode(Mode.STOPPED)
+        if self._mode is not Mode.STOPPED:
+            self._leave(Mode.STOPPED)
 
     def crash(self) -> None:
         """Fail the instance. Unacked deliveries become redeliverable; state
@@ -402,101 +389,60 @@ class ServiceInstance:
     def _on_wake(self, _queue_name: str) -> None:
         self._try_next()
 
-    def _cancel_inflight(self) -> None:
-        if self._pending is not None:
-            self.clock.cancel(self._pending)
-            self._pending = None
-            self._inflight = None
-            if self.subscription is not None:
-                self.broker.release_inflight(self.subscription.queue)
-
     def _try_next(self) -> None:
-        if self._pending is not None or self.subscription is None:
+        # detached (Paused, Stopped), busy, or a frozen replay: nothing to do
+        if self._pending is not None or self._queue is None or self._frozen:
             return
-        if self._mode not in (Mode.SERVING, Mode.REPLAYING):
-            return
-        if self._mode is Mode.REPLAYING and self._frozen:
-            return
-        sub = self.subscription
-        nxt = self.broker.peek(sub.queue, sub.consumer)
-        if self._mode is Mode.REPLAYING and self._replay_limit is not None:
-            if self.state.last_processed_id >= self._replay_limit:
-                self._finish_switch()
-                return
-            if nxt is not None and nxt.id > self._replay_limit:
-                self._finish_switch()
+        nxt = self.broker.peek(self._queue, self.instance_id)
+        if self._handoff is not None:
+            watermark, main_queue, on_switched = self._handoff
+            if (self.state.last_processed_id >= watermark
+                    or (nxt is not None and nxt.id > watermark)):
+                self._handoff = None
+                self.broker.unsubscribe(self._queue, self.instance_id)
+                self._attach(main_queue, Mode.SERVING, on_switched)
                 return
             if nxt is None:
                 # every id <= watermark was mirrored before the watermark was
                 # announced, so an empty queue here is a protocol bug
                 raise ProtocolError(
                     f"{self.instance_id}: replay starved below watermark "
-                    f"{self._replay_limit}")
+                    f"{watermark}")
         if nxt is None:
             self._mark_idle()
             return
-        msg = self.broker.poll(sub.queue, sub.consumer)
+        msg = self.broker.poll(self._queue, self.instance_id)
         self._idle = False
-        self._inflight = msg
-        self._pending = self.clock.schedule(self.processing_ms, self._complete)
+        self._pending = self.clock.schedule(
+            self.processing_ms, lambda: self._complete(msg))
 
-    def _complete(self) -> None:
-        msg = self._inflight
+    def _complete(self, msg: Message) -> None:
         self._pending = None
-        self._inflight = None
         try:
             new_state, outputs = handle(self.state, msg)
         except StaleMessage:
             # duplicate delivery: drop without state change or output
             self.rejected_count += 1
-            outputs = []
+        except UnknownCommand as exc:
+            raise UnknownCommand(
+                f"{self.instance_id} at t={self.clock.now} ms: message "
+                f"{msg.id} on queue {self._queue!r}: {exc}") from exc
         else:
             self.state = new_state
             self.applied_count += 1
             if self._mode is Mode.SERVING:
                 for out in outputs:
                     self.broker.publish(self.output_topic, out)
-            elif self._mode is Mode.REPLAYING:
+            else:
                 self.replayed_count += 1
                 if self.shadow_outputs is not None:
                     self.shadow_outputs.extend(outputs)
-        sub = self.subscription
-        self.broker.ack(sub.queue, sub.consumer, msg.id)
-        if self.on_applied is not None:
-            self.on_applied(self, msg)
-        if self._stop_cb is not None:
-            cb, self._stop_cb = self._stop_cb, None
-            self._do_stop(cb)
-            return
-        if self._frozen and self._freeze_cb is not None:
-            cb, self._freeze_cb = self._freeze_cb, None
-            cb(self)
-            return
-        self._try_next()
-
-    def _do_stop(self, cb) -> None:
-        sub = self.subscription
-        if sub is not None:
-            self.broker.unsubscribe(sub.queue, sub.consumer)
-            self.subscription = None
-        self._set_mode(Mode.STOPPED)
-        cb(self)
-
-    def _finish_switch(self) -> None:
-        sub = self.subscription
-        self.broker.unsubscribe(sub.queue, sub.consumer)
-        target = self._switch_target
-        cb = self._switch_cb
-        self._replay_limit = None
-        self._switch_target = None
-        self._switch_cb = None
-        self.subscription = self.broker.subscribe(
-            target, self.instance_id, on_wake=self._on_wake)
-        self._set_mode(Mode.SERVING)
-        self._idle = False
-        if cb is not None:
-            cb(self)
-        self._try_next()
+        self.broker.ack(self._queue, self.instance_id, msg.id)
+        then, self._then = self._then, None
+        if then is not None:
+            then()
+        else:
+            self._try_next()
 
     def _mark_idle(self) -> None:
         if not self._idle:

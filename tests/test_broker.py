@@ -97,15 +97,6 @@ def test_unacked_message_redelivered_after_unsubscribe(broker):
     assert redelivered.id == 1 and redelivered.payload == b"m"
 
 
-def test_release_inflight_makes_message_deliverable_again(broker):
-    broker.create_queue("q")
-    broker.subscribe("q", "c")
-    broker.publish("q", b"m")
-    broker.poll("q", "c")
-    broker.release_inflight("q")
-    assert broker.poll("q", "c").id == 1
-
-
 def test_wake_fires_after_delivery_latency():
     clock = SimClock()
     broker = Broker(clock, delivery_latency_ms=2.5)

@@ -6,7 +6,7 @@ import pytest
 from migsim.migration import (Decision, HandoffPolicy, MigrationRecord,
                               Outcome, Phase, PhaseSpan, Technique,
                               compute_metrics, decide_handoff)
-from migsim.service import Mode, ProtocolError
+from migsim.service import Mode, ProtocolError, UnknownCommand
 from migsim.sim import FaultSpec, SimParams, Simulation
 from migsim.simnet import Host, Link, SimError
 from migsim.workload import WorkloadSpec, replay_stress_spec
@@ -178,6 +178,15 @@ def test_simulation_guards():
     sim.broker.publish(sim.manager.q_mgr, b"teleport")
     with pytest.raises(ProtocolError, match="teleport"):
         sim.clock.run_until()
+
+
+def test_unknown_command_reports_where_it_was_met():
+    # picked up at 1 ms, it fails when processing completes at 3 ms
+    sim = Simulation(_mk(workload=None, stream=[(1.0, b"frob x")]))
+    with pytest.raises(UnknownCommand, match=(
+            r"^svc@hs at t=3\.0 ms: message 1 on queue 'svc\.in': "
+            r"unknown op b'frob'$")):
+        sim.run()
 
 
 def test_fault_spec_validation():

@@ -172,11 +172,12 @@ def test_serial_consumption_one_at_a_time():
     clock, broker, inst = _rig(processing_ms=2.0)
     for i in range(3):
         broker.publish("in", b"add n 1")
-    done = []
-    inst.on_applied = lambda _inst, msg: done.append((msg.id, clock.now))
     inst.start_serving("in")
     clock.run_until()
-    assert done == [(1, 2.0), (2, 4.0), (3, 6.0)]
+    # each output is published when its message completes, 2 ms apart
+    assert [(m.payload, m.publish_time)
+            for m in broker.queue("out").messages()] == [
+        (b"ok 1 n=1", 2.0), (b"ok 2 n=2", 4.0), (b"ok 3 n=3", 6.0)]
 
 
 def test_pause_defers_in_flight_message():
@@ -189,9 +190,9 @@ def test_pause_defers_in_flight_message():
     assert inst.mode is Mode.PAUSED
     assert inst.state.data == {}          # nothing half-applied
     assert broker.queue("in").ids() == [1]  # still buffered
-    inst.resume("in")
+    inst.start_serving("in")
     clock.run_until()
-    # applied exactly once after resume
+    # applied exactly once after serving again
     assert inst.state.data == {"n": 1}
     assert inst.applied_count == 1
     assert len(broker.queue("out").messages()) == 1
@@ -259,32 +260,45 @@ def test_replay_suppresses_outputs_and_rejects_stale():
 
 
 def test_freeze_replay_waits_for_in_flight():
-    clock, broker, inst = _rig(processing_ms=3.0)
-    broker.publish("in", b"add n 1")
-    inst.start_serving("in")
-    clock.run_until()
-    inst.pause()
-    cp = inst.create_checkpoint()
+    def run(stop_at=None):
+        clock, broker, inst = _rig(processing_ms=3.0)
+        broker.publish("in", b"add n 1")
+        inst.start_serving("in")
+        clock.run_until()
+        inst.pause()
+        cp = inst.create_checkpoint()
 
-    broker.create_queue("in.sec")
-    broker.start_mirror("in", "in.sec", 2)
-    broker.publish("in", b"add n 1")       # id 2 lands in the mirror
+        broker.create_queue("in.sec")
+        broker.start_mirror("in", "in.sec", 2)
+        broker.publish("in", b"add n 1")   # id 2 lands in the mirror
 
-    twin = ServiceInstance.restore(cp, Host("h2"), clock, broker, 3.0, "out",
-                                   "i2")
-    frozen_at = []
-    twin.enter_replay("in.sec")
+        twin = ServiceInstance.restore(cp, Host("h2"), clock, broker, 3.0,
+                                       "out", "i2")
+        frozen_at = []
+        twin.enter_replay("in.sec")
 
-    def freeze():
-        assert twin.busy                   # id 2 mid-processing
-        twin.freeze_replay(lambda _i: frozen_at.append(clock.now))
+        def freeze():
+            assert twin.busy               # id 2 mid-processing
+            twin.freeze_replay(lambda _i: frozen_at.append(clock.now))
 
-    # source ran until t=3; twin polled id 2 there, completion lands at t=6
-    clock.schedule_at(clock.now + 1.0, freeze)
-    clock.run_until()
+        # source ran until t=3; twin polled id 2 there, completion lands at 6
+        clock.schedule_at(4.0, freeze)
+        if stop_at is not None:
+            clock.schedule_at(stop_at, twin.stop)
+        clock.run_until()
+        return broker, twin, frozen_at
+
+    broker, twin, frozen_at = run()
     assert frozen_at == [6.0]              # fires at completion, not at call
     assert twin.state.last_processed_id == 2
     assert twin.mode is Mode.REPLAYING     # frozen, not stopped
+
+    # a stop while the freeze waits drops id 2 unapplied, and the freeze too
+    broker, twin, frozen_at = run(stop_at=5.0)
+    assert frozen_at == []
+    assert twin.mode is Mode.STOPPED
+    assert twin.state.last_processed_id == 1
+    assert broker.queue("in.sec").ids() == [2]
 
 
 def test_finish_replay_refuses_watermark_below_applied():
@@ -331,17 +345,30 @@ def test_finish_replay_switches_to_main_at_watermark():
 
 
 def test_request_stop_finishes_in_flight_first():
-    clock, broker, inst = _rig(processing_ms=4.0)
-    broker.publish("in", b"add n 1")
-    inst.start_serving("in")
-    stopped = []
-    clock.schedule_at(
-        1.0, lambda: inst.request_stop(
-            lambda i: stopped.append((clock.now, i.state.last_processed_id))))
-    clock.run_until()
+    def run(crash_at=None):
+        clock, broker, inst = _rig(processing_ms=4.0)
+        broker.publish("in", b"add n 1")
+        inst.start_serving("in")
+        stopped = []
+        clock.schedule_at(
+            1.0, lambda: inst.request_stop(
+                lambda i: stopped.append(
+                    (clock.now, i.state.last_processed_id))))
+        if crash_at is not None:
+            clock.schedule_at(crash_at, inst.crash)
+        clock.run_until()
+        assert inst.mode is Mode.STOPPED
+        return broker, inst, stopped
+
+    broker, inst, stopped = run()
     assert stopped == [(4.0, 1)]
-    assert inst.mode is Mode.STOPPED
     assert inst.applied_count == 1
+
+    # a crash while the stop waits drops id 1 unapplied, and the stop too
+    broker, inst, stopped = run(crash_at=2.0)
+    assert stopped == []
+    assert inst.applied_count == 0
+    assert broker.queue("in").ids() == [1]
 
 
 def test_request_stop_immediate_when_idle():
@@ -365,7 +392,7 @@ def test_crash_releases_in_flight_unapplied():
     assert broker.queue("in").ids() == [1]   # redeliverable
     assert len(broker.queue("out").messages()) == 0
     with pytest.raises(ModeError):
-        inst.resume("in")
+        inst.start_serving("in")
 
 
 def test_idle_hook_edge_triggered():
