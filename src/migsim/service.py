@@ -1,5 +1,6 @@
-"""Deterministic stateful service: ordered key-value state, a pure message
-handler, canonical state serialization, checkpoint/restore and the runtime
+"""Deterministic stateful service: ordered key-value state, a message
+handler that applies each message in place (a rejected message changes
+nothing), canonical state serialization, checkpoint/restore and the runtime
 modes a live migration moves an instance through.
 
 Canonical state serialization (external interface, all integers big-endian):
@@ -142,18 +143,29 @@ class Checkpoint:
 
     snapshot: bytes
     size_bytes: int
-    source_host: str
     checkpoint_last_id: int
 
 
+def _key(raw: bytes) -> str:
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError:
+        raise UnknownCommand(f"non-ASCII key: {raw[:40]!r}") from None
+
+
 def handle(state: ServiceState, msg: Message) -> tuple[ServiceState, list[bytes]]:
-    """Apply one input message. Pure: same (state, message) always yields the
-    same successor state and the same output payloads.
+    """Apply one input message to state in place and return (state, outputs)
+    with the same state object. Deterministic: the same state and message
+    always yield the same successor state and the same output payloads.
 
     Commands:
         set <key> <value-bytes>   overwrite a key (value may contain spaces)
         add <key> <int> [pad]     increment an integer counter
-    Every applied input produces exactly one output payload.
+    Keys are ASCII. Every applied input produces exactly one output payload.
+
+    A rejected message raises StaleMessage or UnknownCommand and leaves
+    state unchanged: every check runs before the first write. Writing in
+    place keeps the cost of a message independent of the state's size.
     """
     if msg.id <= state.last_processed_id:
         raise StaleMessage(
@@ -164,15 +176,14 @@ def handle(state: ServiceState, msg: Message) -> tuple[ServiceState, list[bytes]
         parts = payload.split(b" ", 2)
         if len(parts) != 3 or not parts[1]:
             raise UnknownCommand(f"malformed set: {payload[:40]!r}")
-        key = parts[1].decode("ascii")
-        data = dict(state.data)
-        data[key] = parts[2]
+        key = _key(parts[1])
+        value = parts[2]
         outputs = [b"ok %d set %s" % (msg.id, parts[1])]
     elif op == b"add":
         parts = payload.split(b" ", 3)
         if len(parts) < 3 or not parts[1]:
             raise UnknownCommand(f"malformed add: {payload[:40]!r}")
-        key = parts[1].decode("ascii")
+        key = _key(parts[1])
         try:
             delta = int(parts[2])
         except ValueError:
@@ -180,12 +191,13 @@ def handle(state: ServiceState, msg: Message) -> tuple[ServiceState, list[bytes]
         old = state.data.get(key, 0)
         if not isinstance(old, int):
             raise UnknownCommand(f"key {key!r} is not a counter")
-        data = dict(state.data)
-        data[key] = old + delta
-        outputs = [b"ok %d %s=%d" % (msg.id, parts[1], data[key])]
+        value = old + delta
+        outputs = [b"ok %d %s=%d" % (msg.id, parts[1], value)]
     else:
         raise UnknownCommand(f"unknown op {op!r}")
-    return ServiceState(data, msg.id), outputs
+    state.data[key] = value
+    state.last_processed_id = msg.id
+    return state, outputs
 
 
 class Mode(enum.Enum):
@@ -315,7 +327,6 @@ class ServiceInstance:
         return Checkpoint(
             snapshot=snapshot,
             size_bytes=len(snapshot),
-            source_host=self.host.id,
             checkpoint_last_id=self.state.last_processed_id,
         )
 

@@ -19,16 +19,11 @@ class SimError(Exception):
 class Event:
     """A scheduled callback. Cancelled events stay in the heap but never fire."""
 
-    __slots__ = ("time", "seq", "fn", "cancelled")
+    __slots__ = ("fn", "cancelled")
 
-    def __init__(self, time: float, seq: int, fn):
-        self.time = time
-        self.seq = seq
+    def __init__(self, fn):
         self.fn = fn
         self.cancelled = False
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class SimClock:
@@ -36,12 +31,13 @@ class SimClock:
 
     Events with equal timestamps fire in scheduling order: the insertion
     sequence number is the tie-breaker, which makes the event order total
-    and repeat runs bit-identical.
+    and repeat runs bit-identical. Heap entries are (time, seq, event)
+    tuples; seq is unique, so ordering never compares two events.
     """
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self.events_processed = 0
 
@@ -54,16 +50,16 @@ class SimClock:
     def schedule_at(self, time_ms: float, fn) -> Event:
         if time_ms < self.now:
             raise SimError(f"cannot schedule into the past ({time_ms} < {self.now})")
-        ev = Event(time_ms, self._seq, fn)
+        ev = Event(fn)
+        heapq.heappush(self._heap, (time_ms, self._seq, ev))
         self._seq += 1
-        heapq.heappush(self._heap, ev)
         return ev
 
     def cancel(self, event: Event) -> None:
         event.cancelled = True
 
     def pending(self) -> int:
-        return sum(1 for ev in self._heap if not ev.cancelled)
+        return sum(1 for _, _, ev in self._heap if not ev.cancelled)
 
     def run_until(self, end_time: float | None = None, predicate=None,
                   max_events: int = 10_000_000) -> float:
@@ -74,17 +70,18 @@ class SimClock:
         the clock then advances to end_time. With neither bound the queue
         is drained completely.
         """
+        heap = self._heap
         processed = 0
-        while self._heap:
-            ev = self._heap[0]
-            if end_time is not None and ev.time > end_time:
+        while heap:
+            time = heap[0][0]
+            if end_time is not None and time > end_time:
                 break
-            heapq.heappop(self._heap)
+            ev = heapq.heappop(heap)[2]
             if ev.cancelled:
                 continue
-            if ev.time < self.now:
+            if time < self.now:
                 raise SimError("event queue corrupted: time went backwards")
-            self.now = ev.time
+            self.now = time
             ev.fn()
             processed += 1
             self.events_processed += 1

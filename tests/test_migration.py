@@ -187,6 +187,11 @@ def test_unknown_command_reports_where_it_was_met():
             r"^svc@hs at t=3\.0 ms: message 1 on queue 'svc\.in': "
             r"unknown op b'frob'$")):
         sim.run()
+    sim = Simulation(_mk(workload=None, stream=[(1.0, b"add \xff 1")]))
+    with pytest.raises(UnknownCommand, match=(
+            r"^svc@hs at t=3\.0 ms: message 1 on queue 'svc\.in': "
+            r"non-ASCII key: b'\\xff'$")):
+        sim.run()
 
 
 def test_fault_spec_validation():

@@ -97,9 +97,10 @@ def test_handle_set_and_add():
     s3, out3 = handle(s2, _msg(3, b"add hits -1 padpadpad"))
     assert s3.data["hits"] == 2
     assert out3 == [b"ok 3 hits=2"]
-    # originals untouched: handler is pure
-    assert s0.data == {}
-    assert s1.data == {"name": b"alice smith"}
+    # applied in place: the argument itself holds every command's effect
+    assert s1 is s0 and s2 is s0 and s3 is s0
+    assert s0.data == {"name": b"alice smith", "hits": 2}
+    assert s0.last_processed_id == 3
 
 
 def test_handle_stale_rejected_without_change():
@@ -122,6 +123,31 @@ def test_handle_unknown_command():
     state, _ = handle(ServiceState(), _msg(1, b"set k v"))
     with pytest.raises(UnknownCommand):
         handle(state, _msg(2, b"add k 1"))  # k holds bytes, not a counter
+    with pytest.raises(UnknownCommand):
+        handle(ServiceState(), _msg(1, b"set \xff v"))  # keys are ASCII
+    with pytest.raises(UnknownCommand):
+        handle(ServiceState(), _msg(1, b"add \xff 1"))
+
+
+def test_handle_rejection_leaves_state_byte_identical():
+    state = ServiceState({"name": b"alice", "hits": 3}, 5)
+    before = serialize_state(state)
+    rejected = [
+        (5, b"add hits 1"),         # duplicate id
+        (4, b"set name bob"),       # out-of-order id
+        (6, b"frob hits 1"),        # unknown op
+        (6, b"set name"),           # malformed set
+        (6, b"set  bob"),           # set with an empty key
+        (6, b"add hits"),           # malformed add
+        (6, b"add hits x1"),        # bad increment
+        (6, b"add name 1"),         # name holds bytes, not a counter
+        (6, b"set \xff bob"),       # non-ASCII key
+        (6, b"add \xff 1"),
+    ]
+    for mid, payload in rejected:
+        with pytest.raises((StaleMessage, UnknownCommand)):
+            handle(state, _msg(mid, payload))
+        assert serialize_state(state) == before, payload
 
 
 @given(st.lists(st.tuples(st.sampled_from([b"set", b"add"]),
@@ -207,7 +233,6 @@ def test_checkpoint_requires_paused():
     cp = inst.create_checkpoint()
     assert cp.size_bytes == len(cp.snapshot) == 12
     assert cp.checkpoint_last_id == 0
-    assert cp.source_host == "h1"
 
 
 def test_restore_round_trip_state():

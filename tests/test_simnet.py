@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from migsim.simnet import (Event, Host, Link, SimClock, SimError,
+from migsim.simnet import (Host, Link, SimClock, SimError,
                            checkpoint_duration, restore_duration,
                            transfer_duration)
 
@@ -115,9 +115,23 @@ def test_processing_order_matches_time_then_insertion(times):
 
 
 def test_event_ordering_is_total():
-    a = Event(1.0, 0, None)
-    b = Event(1.0, 1, None)
-    assert a < b and not b < a
+    # equal timestamps fire in scheduling order, including an event scheduled
+    # at the tie's own time while it runs; a cancelled event in the tie
+    # neither fires nor reorders the others
+    clock = SimClock()
+    fired = []
+
+    def first():
+        fired.append(0)
+        clock.schedule(0.0, lambda: fired.append("nested"))
+
+    clock.schedule_at(1.0, first)
+    tied = [clock.schedule_at(1.0, lambda i=i: fired.append(i))
+            for i in range(1, 5)]
+    clock.schedule_at(0.5, lambda: fired.append("early"))
+    clock.cancel(tied[1])
+    clock.run_until()
+    assert fired == ["early", 0, 1, 3, 4, "nested"]
 
 
 # -- hosts, links and cost models -------------------------------------------
