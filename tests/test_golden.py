@@ -4,7 +4,9 @@ test_acceptance_6 only checks that two runs agree with each other, so a change
 that moved every number the same way would still pass it. The digests below
 are fixed: any change to a report byte, an output, the final state, a
 MigrationRecord field, a mode transition, the number of simulated events or
-the number of control messages on any control queue fails here.
+the number of control messages on any control queue fails here. Besides the
+shipped scenarios and a fault grid, the cells pinned are the first ten seeds
+of test_acceptance_2, with its triggers.
 
 The digests are part of the contract and change only with a deliberate
 behaviour change. `PYTHONPATH=src python tests/test_golden.py` prints the
@@ -14,6 +16,7 @@ tables for pasting back in.
 import dataclasses
 import enum
 import hashlib
+import random
 from pathlib import Path
 
 from migsim.config import load_scenario
@@ -160,6 +163,30 @@ GRID_DIGESTS = [
 ]
 
 
+ACCEPTANCE2_DIGESTS = [
+    "5d27abeb44a65ac635037c883c5ae23bf3da67a0c8ce5fe039ef5286d3b53de9",
+    "4a4bbc223a976ab9a2baae4e124f6f74a0f890bb4bec80fcb9e662ed78850897",
+    "23e430232bf07cc5f593f011d2d7dd13e84fab3e6e6f7d4d65ec5ac61a4594c7",
+    "9df298a48556cb875648efea21cc926b3a8f4d37df742321ecb5bd1348e5245a",
+    "12a1c4b8f86f5d516ed97a3404726083990a1a1ef4114ae521b9f41246a2f839",
+    "70191102614af457f20111f8070ef3d8b4ba1b387e63cf3b675df80506a0268d",
+    "3d7c61030bc11a5865508bf2ec7b39e2354b17db3484de5eccf1613a9ad0df08",
+    "b80b5804cc6e45b24bab23d7d4c8b141e14f9ae75b63e98133349a3efcce97a5",
+    "66892cdf0638187c732e2dfe042427a6538a1ab01495bb3900a2042e2644d86b",
+    "734b606ba70d92805c74db4b63ec92af000b7b2a425c52743ec10a389efa7ab8",
+    "2423107d16b77cd846a82aa5bb5f04de708141799e389c03c59e3a8311a1ea1d",
+    "9cb9aa4e7297b743275a4583222cd07573da04851fca375eefba4f5d698f422e",
+    "36be5e2b8cffbcec71a1121a128f0531129afcd45c877fd3a76388c9c6c57395",
+    "29853d382d0b8654cc24bf25643fdb698e01c7cc9063130662dc88f0b0cdb974",
+    "465a4f2f349497e82424fb17b2c5c1a7f029365fc650e8f35685fb0ae6046058",
+    "278ef43ff3210b07d15c655f085af63a343fd2b49bbaf7c2b0913690cf67e8d3",
+    "db5a80ed40f1aba043c68f8ec7ebc812bc0fbf40b8b63b7c0a45ffa64ec12ed5",
+    "d2cd90eec955a96f3ccfef3afa66fac6d757c7757f4f433140519d944bbcf9e4",
+    "5b2dd86f5bb4d48b9f53dbe9e097776379a993186d298058ec1f2cd658990ecb",
+    "d2645f06e7c9dd732b247bf2d39ba723f5fb45e6e2466a11d1c87b90af1d3337",
+]
+
+
 def _params(technique, variant, fault=None) -> SimParams:
     latency, policy, processing = variant
     return SimParams(
@@ -193,6 +220,24 @@ def grid():
             for fault in dict.fromkeys(faults):
                 label = f"{technique.value} {variant} {fault}"
                 yield label, _params(technique, variant, fault)
+
+
+def acceptance2_cells():
+    """Yield (label, SimParams) for test_acceptance_2's migrations at seeds
+    0-9, each technique in turn, with triggers drawn from the same generator
+    in the same order, so the values match that test's first 20 cells."""
+    src = Host("hs", checkpoint_fixed_ms=20.0, checkpoint_ms_per_kib=32.0)
+    tgt = Host("ht", restore_fixed_ms=15.0, restore_ms_per_kib=32.0)
+    link = Link("hs", "ht", latency_ms=10.0, bandwidth_kib_per_s=2048.0)
+    rng = random.Random(20260821)
+    for seed in range(10):
+        for technique in (Technique.MS2M, Technique.STOP_AND_COPY):
+            trigger = rng.uniform(1.0, 9500.0)
+            yield f"seed {seed} {technique.value} {trigger}", SimParams(
+                source_host=src, target_host=tgt, link=link,
+                workload=WorkloadSpec("Poisson", 50, 10_000, seed=seed),
+                processing_ms=1.0, pause_ms=5.0, continuation_ms=5.0,
+                technique=technique, trigger_ms=trigger, seed=seed)
 
 
 def _canon(x):
@@ -246,6 +291,15 @@ def test_fault_grid_matches_golden():
     assert outcomes == set(Outcome)
 
 
+def test_acceptance2_cells_match_golden():
+    cells = list(acceptance2_cells())
+    assert len(cells) == len(ACCEPTANCE2_DIGESTS) == 20
+    mismatched = [label for (label, params), want
+                  in zip(cells, ACCEPTANCE2_DIGESTS)
+                  if cell_digest(params) != (want, Outcome.COMPLETED)]
+    assert mismatched == []
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -255,5 +309,8 @@ if __name__ == "__main__":
             print(f'    "{p.name}": "{scenario_digest(p, Path(tmp))}",')
         print("}\n\nGRID_DIGESTS = [")
         for _label, params in grid():
+            print(f'    "{cell_digest(params)[0]}",')
+        print("]\n\nACCEPTANCE2_DIGESTS = [")
+        for _label, params in acceptance2_cells():
             print(f'    "{cell_digest(params)[0]}",')
         print("]")
