@@ -60,7 +60,6 @@ class Queue:
         self.mirror: tuple[str, int] | None = None
         self.inflight: int | None = None  # delivered, not yet acked
         self.published_total = 0
-        self.acked_total = 0
         self._wake = None
         self._wake_pending = False
 
@@ -107,7 +106,7 @@ class Broker:
         return q
 
     def delete_queue(self, name: str) -> None:
-        q = self._queue(name)
+        q = self.queue(name)
         if q.subscriber is not None:
             raise BrokerError(f"queue {name!r} still has a subscriber")
         del self._queues[name]
@@ -116,9 +115,6 @@ class Broker:
         return name in self._queues
 
     def queue(self, name: str) -> Queue:
-        return self._queue(name)
-
-    def _queue(self, name: str) -> Queue:
         try:
             return self._queues[name]
         except KeyError:
@@ -129,13 +125,13 @@ class Broker:
     def publish(self, name: str, payload: bytes) -> int:
         """Append payload to the queue, propagate to an active mirror, and
         wake any idle subscriber. Returns the assigned id."""
-        q = self._queue(name)
+        q = self.queue(name)
         msg = Message(q.next_id, name, bytes(payload), self.clock.now)
         q._messages[msg.id] = msg
         q.next_id += 1
         q.published_total += 1
         if q.mirror is not None and msg.id >= q.mirror[1]:
-            self._append_mirrored(self._queue(q.mirror[0]), msg)
+            self._append_mirrored(self.queue(q.mirror[0]), msg)
         self._notify(q)
         return msg.id
 
@@ -158,8 +154,8 @@ class Broker:
         target ends up with the complete id >= start_id subsequence even when
         mirroring starts after some of those publishes happened.
         """
-        q = self._queue(name)
-        target = self._queue(target_name)
+        q = self.queue(name)
+        target = self.queue(target_name)
         if q.mirror is not None:
             raise MirrorActive(name)
         if target_name == name:
@@ -172,7 +168,7 @@ class Broker:
                 self._append_mirrored(target, msg)
 
     def stop_mirror(self, name: str) -> None:
-        q = self._queue(name)
+        q = self.queue(name)
         if q.mirror is None:
             raise BrokerError(f"no mirror active on {name!r}")
         q.mirror = None
@@ -186,7 +182,7 @@ class Broker:
         (via a scheduled event) whenever the queue has something deliverable
         and nothing is in flight.
         """
-        q = self._queue(name)
+        q = self.queue(name)
         if q.subscriber is not None:
             raise ExclusiveConsumer(
                 f"queue {name!r} already consumed by {q.subscriber!r}")
@@ -197,7 +193,7 @@ class Broker:
     def unsubscribe(self, name: str, consumer: str) -> None:
         """Detach the consumer. Unacknowledged messages stay buffered and any
         in-flight delivery becomes deliverable again."""
-        q = self._queue(name)
+        q = self.queue(name)
         if q.subscriber != consumer:
             raise NotSubscribed(f"{consumer!r} is not the consumer of {name!r}")
         q.subscriber = None
@@ -223,7 +219,7 @@ class Broker:
 
     def peek(self, name: str, consumer: str) -> Message | None:
         """Look at the next deliverable message without taking it."""
-        q = self._queue(name)
+        q = self.queue(name)
         if q.subscriber != consumer:
             raise NotSubscribed(f"{consumer!r} is not the consumer of {name!r}")
         if q.inflight is not None:
@@ -233,7 +229,7 @@ class Broker:
     def poll(self, name: str, consumer: str) -> Message | None:
         """Take the next message for delivery. At most one delivery may be
         outstanding per queue; it stays in the buffer until acked."""
-        q = self._queue(name)
+        q = self.queue(name)
         if q.subscriber != consumer:
             raise NotSubscribed(f"{consumer!r} is not the consumer of {name!r}")
         if q.inflight is not None:
@@ -246,12 +242,11 @@ class Broker:
 
     def ack(self, name: str, consumer: str, message_id: int) -> None:
         """Confirm the in-flight delivery; the message leaves the buffer."""
-        q = self._queue(name)
+        q = self.queue(name)
         if q.subscriber != consumer:
             raise NotSubscribed(f"{consumer!r} is not the consumer of {name!r}")
         if q.inflight != message_id or message_id not in q._messages:
             raise BadAck(f"message {message_id} is not in flight on {name!r}")
         del q._messages[message_id]
         q.inflight = None
-        q.acked_total += 1
         self._notify(q)

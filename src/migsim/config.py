@@ -63,13 +63,16 @@ class ScenarioConfig:
     delivery_latency_ms: float = 0.0
 
 
-def _num(doc, key, errors, *, minimum=None, allow_none=False,
+def _num(doc, key, errors, *, where="", minimum=None, allow_none=False,
          integer=False, default=_REQUIRED):
-    """Pull one numeric field, recording an error instead of raising."""
+    """Pull one numeric field, recording an error instead of raising. where
+    is the path of the object holding it, so an error names the field's full
+    path, e.g. 'hosts[1].restore_fixed_ms'."""
+    path = f"{where}.{key}" if where else key
     if key not in doc:
         if default is not _REQUIRED:
             return default
-        errors.append(f"{key}: required")
+        errors.append(f"{path}: required")
         return None
     val = doc[key]
     if val is None and allow_none:
@@ -77,14 +80,14 @@ def _num(doc, key, errors, *, minimum=None, allow_none=False,
     ok_types = (int,) if integer else (int, float)
     if not isinstance(val, ok_types) or isinstance(val, bool):
         kind = "an integer" if integer else "a number"
-        errors.append(f"{key}: must be {kind}, got {val!r}")
+        errors.append(f"{path}: must be {kind}, got {val!r}")
         return None
     # json.loads accepts NaN and Infinity, and NaN passes every comparison
     if isinstance(val, float) and not math.isfinite(val):
-        errors.append(f"{key}: must be finite, got {val}")
+        errors.append(f"{path}: must be finite, got {val}")
         return None
     if minimum is not None and val < minimum:
-        errors.append(f"{key}: must be >= {minimum}, got {val}")
+        errors.append(f"{path}: must be >= {minimum}, got {val}")
         return None
     return val
 
@@ -123,8 +126,8 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     if not isinstance(service, dict):
         errors.append("service: must be an object")
         service = {}
-    processing_ms = _num(service, "processing_ms", errors, minimum=0.0,
-                         default=1.0)
+    processing_ms = _num(service, "processing_ms", errors, where="service",
+                         minimum=0.0, default=1.0)
 
     hosts = _parse_hosts(doc.get("hosts"), errors)
     links = _parse_links(doc.get("links"), hosts, errors)
@@ -147,10 +150,12 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             and not any(l.source == source and l.target == target for l in links)):
         errors.append(f"links: no link from {source!r} to {target!r}")
 
-    trigger_ms = _num(mig, "trigger_ms", errors, minimum=0.0)
-    pause_ms = _num(mig, "pause_ms", errors, minimum=0.0, default=0.0)
-    continuation_ms = _num(mig, "continuation_ms", errors, minimum=0.0,
-                           default=0.0)
+    trigger_ms = _num(mig, "trigger_ms", errors, where="migration",
+                      minimum=0.0)
+    pause_ms = _num(mig, "pause_ms", errors, where="migration", minimum=0.0,
+                    default=0.0)
+    continuation_ms = _num(mig, "continuation_ms", errors, where="migration",
+                           minimum=0.0, default=0.0)
     policy = _parse_policy(mig, errors)
     overrides = _parse_overrides(doc.get("overrides", {}), errors)
     fault = _parse_fault(doc.get("fault"), errors)
@@ -189,12 +194,13 @@ def _parse_workload(raw, errors) -> tuple[WorkloadSpec | None, bool]:
     if kind not in KINDS:
         errors.append(f"workload.kind: must be one of {', '.join(KINDS)}")
         return None, False
-    rate = _num(raw, "arrival_rate", errors, minimum=0.0)
-    duration = _num(raw, "duration_ms", errors, minimum=0.0)
-    payload = _num(raw, "payload_size_bytes", errors, integer=True,
-                   minimum=MIN_PAYLOAD_BYTES, default=128)
+    rate = _num(raw, "arrival_rate", errors, where="workload", minimum=0.0)
+    duration = _num(raw, "duration_ms", errors, where="workload", minimum=0.0)
+    payload = _num(raw, "payload_size_bytes", errors, where="workload",
+                   integer=True, minimum=MIN_PAYLOAD_BYTES, default=128)
     seed_fixed = "seed" in raw
-    seed = _num(raw, "seed", errors, integer=True, minimum=0, default=0)
+    seed = _num(raw, "seed", errors, where="workload", integer=True,
+                minimum=0, default=0)
     if rate is None or duration is None or payload is None or seed is None:
         return None, False
     try:
@@ -224,15 +230,12 @@ def _parse_hosts(raw, errors) -> dict[str, Host]:
             errors.append(f"{where}.id: duplicate host {host_id!r}")
             continue
         fields = {}
-        bad = False
         for name in _HOST_FIELDS:
-            val = _num(item, name, errors, minimum=0.0, default=0.0)
-            if val is None:
-                bad = True
-            else:
-                fields[name] = val
-        if bad:
-            continue
+            val = _num(item, name, errors, where=where, minimum=0.0,
+                       default=0.0)
+            # a bad number is already an error; the placeholder keeps the
+            # host known, so links and migration naming it add no false ones
+            fields[name] = 0.0 if val is None else val
         hosts[host_id] = Host(id=host_id, region=item.get("region", ""),
                               **fields)
     return hosts
@@ -240,11 +243,8 @@ def _parse_hosts(raw, errors) -> dict[str, Host]:
 
 def _parse_links(raw, hosts, errors) -> list[Link]:
     links: list[Link] = []
-    if raw is None:
+    if not isinstance(raw, list) or not raw:
         errors.append("links: must be a non-empty list")
-        return links
-    if not isinstance(raw, list):
-        errors.append("links: must be a list")
         return links
     seen = set()
     for i, item in enumerate(raw):
@@ -261,38 +261,45 @@ def _parse_links(raw, hosts, errors) -> list[Link]:
             elif hosts and endpoint not in hosts:
                 errors.append(f"{label}: unknown host {endpoint!r}")
                 ok = False
-        latency = _num(item, "latency_ms", errors, minimum=0.0, default=0.0)
-        bandwidth = _num(item, "bandwidth_kib_per_s", errors, allow_none=True,
-                         default=None)
+        latency = _num(item, "latency_ms", errors, where=where, minimum=0.0,
+                       default=0.0)
+        bandwidth = _num(item, "bandwidth_kib_per_s", errors, where=where,
+                         allow_none=True, default=None)
         if bandwidth is not None and bandwidth <= 0:
             errors.append(f"{where}.bandwidth_kib_per_s: must be > 0 or null")
-            ok = False
-        jitter = _num(item, "jitter_frac", errors, minimum=0.0, default=0.0)
+            bandwidth = None
+        jitter = _num(item, "jitter_frac", errors, where=where, minimum=0.0,
+                      default=0.0)
         if jitter is not None and jitter > 1.0:
             errors.append(f"{where}.jitter_frac: must be <= 1.0")
-            ok = False
-        if not ok or latency is None or jitter is None:
+            jitter = None
+        if not ok:
             continue
         if (src, dst) in seen:
             errors.append(f"{where}: duplicate link {src!r} -> {dst!r}")
             continue
         seen.add((src, dst))
-        links.append(Link(source=src, target=dst, latency_ms=latency,
-                          bandwidth_kib_per_s=bandwidth, jitter_frac=jitter))
+        # as with hosts, a bad number gets a placeholder rather than dropping
+        # the link, so the migration's link check adds no false error
+        links.append(Link(source=src, target=dst,
+                          latency_ms=0.0 if latency is None else latency,
+                          bandwidth_kib_per_s=bandwidth,
+                          jitter_frac=0.0 if jitter is None else jitter))
     return links
 
 
 def _parse_policy(mig: dict, errors) -> HandoffPolicy:
-    threshold = _num(mig, "handoff_threshold", errors, integer=True,
-                     minimum=0, default=0)
-    timeout = _num(mig, "replay_timeout_ms", errors, allow_none=True,
-                   default=60_000.0)
+    threshold = _num(mig, "handoff_threshold", errors, where="migration",
+                     integer=True, minimum=0, default=0)
+    timeout = _num(mig, "replay_timeout_ms", errors, where="migration",
+                   allow_none=True, default=60_000.0)
     if timeout is not None and timeout <= 0:
         errors.append("migration.replay_timeout_ms: must be > 0 or null")
         timeout = None
-    window = _num(mig, "divergence_window", errors, integer=True, minimum=1,
-                  default=5)
-    interval = _num(mig, "check_interval_ms", errors, default=100.0)
+    window = _num(mig, "divergence_window", errors, where="migration",
+                  integer=True, minimum=1, default=5)
+    interval = _num(mig, "check_interval_ms", errors, where="migration",
+                    default=100.0)
     if interval is not None and interval <= 0:
         errors.append("migration.check_interval_ms: must be > 0")
         interval = 100.0
@@ -324,7 +331,7 @@ def _parse_overrides(raw, errors) -> dict[str, dict]:
                 errors.append(f"{where}.{key}: unknown override")
                 continue
             allow_none = key == "bandwidth_kib_per_s"
-            val = _num(fields, key, errors,
+            val = _num(fields, key, errors, where=where,
                        minimum=None if allow_none else 0.0,
                        allow_none=allow_none)
             if key == "bandwidth_kib_per_s" and val is not None and val <= 0:
@@ -346,10 +353,13 @@ def _parse_fault(raw, errors) -> FaultSpec | None:
         errors.append("fault: must be an object or null")
         return None
     kind = raw.get("kind", "source_crash")
-    at_ms = _num(raw, "at_ms", errors, minimum=0.0, default=None,
-                 allow_none=True)
+    at_ms = _num(raw, "at_ms", errors, where="fault", minimum=0.0,
+                 default=None, allow_none=True)
+    if at_ms is None and raw.get("at_ms") is not None:
+        at_ms = 0.0  # a bad number, already reported; keep it given
     phase = raw.get("phase")
-    offset = _num(raw, "offset_ms", errors, minimum=0.0, default=0.0)
+    offset = _num(raw, "offset_ms", errors, where="fault", minimum=0.0,
+                  default=0.0)
     try:
         return FaultSpec(kind=kind, at_ms=at_ms, phase=phase,
                          offset_ms=offset if offset is not None else 0.0)

@@ -1,16 +1,18 @@
 """Experiment harness: run every (trial, technique) cell of a scenario,
-collect per-trial rows, aggregate, compare techniques, and read or write the
-CSV report.
+collect per-trial rows, compare techniques, and read or write the CSV report.
 
 The CSV schema is fixed; columns are never added, dropped or reordered
-between runs so reports stay diffable and machine-comparable. Floats are
-written with six decimal places; drain_ms is -1.0 when draining does not
-apply (the migration never produced a caught-up serving instance).
+between runs so reports stay diffable and machine-comparable. TrialRow's
+fields are the columns, in order, and their types say how each is written
+and read back. Floats are written with six decimal places; drain_ms is -1.0
+when draining does not apply (the migration never produced a caught-up
+serving instance).
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,21 +21,6 @@ from .config import ScenarioConfig, effective_params
 from .migration import (MigrationRecord, Outcome, Phase, Technique,
                         compute_metrics)
 from .sim import Simulation
-
-CSV_COLUMNS = [
-    "schema_version", "trial", "technique", "outcome",
-    "total_ms", "downtime_strict_ms", "downtime_paused_ms",
-    "pause_ms", "checkpoint_ms", "continuation_ms", "transfer_ms",
-    "restoration_ms", "replay_ms", "finalize_ms",
-    "replayed_count", "drain_ms",
-]
-
-_FLOAT_COLUMNS = {
-    "total_ms", "downtime_strict_ms", "downtime_paused_ms", "pause_ms",
-    "checkpoint_ms", "continuation_ms", "transfer_ms", "restoration_ms",
-    "replay_ms", "finalize_ms", "drain_ms",
-}
-_INT_COLUMNS = {"schema_version", "trial", "replayed_count"}
 
 
 @dataclass(frozen=True)
@@ -56,6 +43,22 @@ class TrialRow:
     drain_ms: float
 
 
+# column -> parser, in CSV order (annotations are strings here)
+_PARSERS = {f.name: {"int": int, "float": float, "str": str}[f.type]
+            for f in dataclasses.fields(TrialRow)}
+CSV_COLUMNS = list(_PARSERS)
+
+_PHASE_COLUMNS = {
+    Phase.PAUSE: "pause_ms",
+    Phase.CHECKPOINT: "checkpoint_ms",
+    Phase.CONTINUATION: "continuation_ms",
+    Phase.TRANSFER: "transfer_ms",
+    Phase.RESTORATION: "restoration_ms",
+    Phase.REPLAY: "replay_ms",
+    Phase.FINALIZATION: "finalize_ms",
+}
+
+
 def row_from_record(schema_version: int, trial: int,
                     record: MigrationRecord) -> TrialRow:
     m = compute_metrics(record)
@@ -67,46 +70,15 @@ def row_from_record(schema_version: int, trial: int,
         total_ms=m.total_ms,
         downtime_strict_ms=m.downtime_strict_ms,
         downtime_paused_ms=m.downtime_paused_ms,
-        pause_ms=m.phase_ms[Phase.PAUSE.value],
-        checkpoint_ms=m.phase_ms[Phase.CHECKPOINT.value],
-        continuation_ms=m.phase_ms[Phase.CONTINUATION.value],
-        transfer_ms=m.phase_ms[Phase.TRANSFER.value],
-        restoration_ms=m.phase_ms[Phase.RESTORATION.value],
-        replay_ms=m.phase_ms[Phase.REPLAY.value],
-        finalize_ms=m.phase_ms[Phase.FINALIZATION.value],
         replayed_count=record.replayed_count,
         drain_ms=record.drain_ms if record.drain_ms is not None else -1.0,
+        **{col: m.phase_ms[phase.value]
+           for phase, col in _PHASE_COLUMNS.items()},
     )
-
-
-@dataclass(frozen=True)
-class Stats:
-    n: int
-    mean: float
-    stdev: float
-    minimum: float
-    median: float
-    maximum: float
-
-
-def _stats(values: list[float]) -> Stats:
-    return Stats(
-        n=len(values),
-        mean=statistics.fmean(values),
-        stdev=statistics.stdev(values) if len(values) > 1 else 0.0,
-        minimum=min(values),
-        median=statistics.median(values),
-        maximum=max(values),
-    )
-
-
-_NUMERIC_FIELDS = [c for c in CSV_COLUMNS
-                   if c in _FLOAT_COLUMNS or c == "replayed_count"]
 
 
 class MetricsReport:
-    """Per-trial rows plus aggregates. Aggregates are always computed from
-    the rows, so a report loaded back from CSV aggregates identically."""
+    """Per-trial rows, in run order; compare() summarizes them."""
 
     def __init__(self, rows: list[TrialRow]):
         self.rows = list(rows)
@@ -117,14 +89,6 @@ class MetricsReport:
             if row.technique not in seen:
                 seen.append(row.technique)
         return seen
-
-    def aggregates(self) -> dict[str, dict[str, Stats]]:
-        out: dict[str, dict[str, Stats]] = {}
-        for tech in self.techniques():
-            rows = [r for r in self.rows if r.technique == tech]
-            out[tech] = {name: _stats([getattr(r, name) for r in rows])
-                         for name in _NUMERIC_FIELDS}
-        return out
 
 
 def run_experiment(config: ScenarioConfig) -> MetricsReport:
@@ -147,11 +111,9 @@ def export_csv(report: MetricsReport, path: str | Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in report.rows:
-            out = []
-            for col in CSV_COLUMNS:
-                val = getattr(row, col)
-                out.append(f"{val:.6f}" if col in _FLOAT_COLUMNS else val)
-            writer.writerow(out)
+            writer.writerow([f"{getattr(row, col):.6f}" if parse is float
+                             else getattr(row, col)
+                             for col, parse in _PARSERS.items()])
 
 
 def load_csv(path: str | Path) -> MetricsReport:
@@ -162,16 +124,8 @@ def load_csv(path: str | Path) -> MetricsReport:
             raise ValueError(
                 f"{path}: unexpected CSV header {reader.fieldnames}")
         for raw in reader:
-            kwargs = {}
-            for col in CSV_COLUMNS:
-                val = raw[col]
-                if col in _FLOAT_COLUMNS:
-                    kwargs[col] = float(val)
-                elif col in _INT_COLUMNS:
-                    kwargs[col] = int(val)
-                else:
-                    kwargs[col] = val
-            rows.append(TrialRow(**kwargs))
+            rows.append(TrialRow(**{col: parse(raw[col])
+                                    for col, parse in _PARSERS.items()}))
     return MetricsReport(rows)
 
 
@@ -219,17 +173,6 @@ class ComparisonSummary:
         return "\n".join(lines)
 
 
-_PHASE_COLS = {
-    Phase.PAUSE.value: "pause_ms",
-    Phase.CHECKPOINT.value: "checkpoint_ms",
-    Phase.CONTINUATION.value: "continuation_ms",
-    Phase.TRANSFER.value: "transfer_ms",
-    Phase.RESTORATION.value: "restoration_ms",
-    Phase.REPLAY.value: "replay_ms",
-    Phase.FINALIZATION.value: "finalize_ms",
-}
-
-
 def compare(report: MetricsReport) -> ComparisonSummary:
     """Summarize per technique and, when both techniques are present, derive
     the MS2M-vs-baseline deltas. Timing means use completed trials when any
@@ -253,8 +196,8 @@ def compare(report: MetricsReport) -> ComparisonSummary:
             mean_downtime_strict_ms=mean("downtime_strict_ms"),
             mean_downtime_pct_ms=(mean("pause_ms") + mean("checkpoint_ms")
                                   + mean("transfer_ms")),
-            mean_phase_ms={phase: mean(col)
-                           for phase, col in _PHASE_COLS.items()},
+            mean_phase_ms={phase.value: mean(col)
+                           for phase, col in _PHASE_COLUMNS.items()},
         )
 
     ms2m = summaries.get(Technique.MS2M.value)

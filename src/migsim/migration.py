@@ -19,8 +19,11 @@ span; inputs buffer in the main queue meanwhile, so nothing is rejected.
 A MigrationManager drives one migration as a single state machine over
 (state, event) pairs. An event is a phase timer firing or a control message
 on one of three per-migration broker queues, whose payload is the bare ASCII
-event name; each is handled the instant it is delivered. Manager hops cost
-no simulated time, so phase spans tile the record exactly.
+event name. A control message is delivered like any other, after the
+broker's delivery_latency_ms (zero by default), so every control hop adds
+that latency to the migration; handling it takes no further simulated time.
+Each phase span starts where the previous one ended, so the spans tile the
+record exactly either way.
 """
 
 from __future__ import annotations
@@ -140,8 +143,7 @@ class HandoffPolicy:
             raise ValueError("check_interval_ms must be > 0")
 
 
-def decide_handoff(backlog: int, arrival_rate_est: float,
-                   processing_rate_est: float, elapsed_replay_ms: float,
+def decide_handoff(backlog: int, elapsed_replay_ms: float,
                    policy: HandoffPolicy, overload_streak: int = 0) -> Decision:
     """Pure handoff decision, consulted whenever the replay backlog drains
     and at every periodic check.
@@ -216,7 +218,8 @@ def compute_metrics(record: MigrationRecord) -> MigrationMetrics:
 class ControlEndpoint:
     """Consumes one control queue, dispatching each message to a handler the
     instant it is delivered. A payload is a bare ASCII event name, and the
-    handler gets it decoded. Control work costs no simulated time."""
+    handler gets it decoded. Delivery waits the broker's delivery_latency_ms,
+    as on any queue; the handler itself costs no simulated time."""
 
     def __init__(self, broker: Broker, queue: str, owner: str, handler):
         self.broker = broker
@@ -344,7 +347,6 @@ class MigrationManager:
         self._current_phase: tuple[Phase, float] | None = None
         self._replay_started_at = 0.0
         self._streak = 0
-        self._last_rates = (0.0, 0.0)
         self._prev_counts = (0, 0)
         self._monitor_event = None
 
@@ -494,7 +496,7 @@ class MigrationManager:
 
     def _restored(self) -> None:
         inst = ServiceInstance.restore(
-            self.checkpoint, self.target_host, self.clock, self.broker,
+            self.checkpoint, self.clock, self.broker,
             self.processing_ms, self.output_topic,
             instance_id=f"{self.service_id}@{self.target_host.id}",
             shadow=self.shadow)
@@ -564,7 +566,6 @@ class MigrationManager:
         arrival = (pub - self._prev_counts[0]) / dt * 1000.0
         processing = (rep - self._prev_counts[1]) / dt * 1000.0
         self._prev_counts = (pub, rep)
-        self._last_rates = (arrival, processing)
         if arrival > processing:
             self._streak += 1
         else:
@@ -575,9 +576,7 @@ class MigrationManager:
     def _decide(self) -> Decision:
         backlog = len(self.broker.queue(self.secondary_queue))
         elapsed = self.clock.now - self._replay_started_at
-        arrival, processing = self._last_rates
-        decision = decide_handoff(backlog, arrival, processing, elapsed,
-                                  self.policy, self._streak)
+        decision = decide_handoff(backlog, elapsed, self.policy, self._streak)
         if decision is Decision.HANDOFF:
             self.state = State.FREEZE
             self._send(self.q_tgt, "freeze")

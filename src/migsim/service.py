@@ -24,7 +24,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .broker import Broker, Message
-from .simnet import Host, SimClock
+from .simnet import SimClock
 
 Scalar = int | bytes | str
 
@@ -208,7 +208,8 @@ class Mode(enum.Enum):
 
 
 class ServiceInstance:
-    """One running copy of the service, attached to a host and a broker.
+    """One running copy of the service, consuming a queue on a broker. It
+    does not know its host; only the migration's cost models use hosts.
 
     The instance consumes its subscribed queue one message at a time: a poll
     takes processing_ms of simulated time, after which the message is applied,
@@ -221,13 +222,12 @@ class ServiceInstance:
     change, on_idle(instance) when a drained queue leaves nothing to poll.
     """
 
-    def __init__(self, instance_id: str, host: Host, state: ServiceState,
+    def __init__(self, instance_id: str, state: ServiceState,
                  clock: SimClock, broker: Broker, processing_ms: float,
                  output_topic: str, shadow: bool = False):
         if processing_ms < 0:
             raise ValueError("processing_ms must be >= 0")
         self.instance_id = instance_id
-        self.host = host
         self.state = state
         self.clock = clock
         self.broker = broker
@@ -331,13 +331,13 @@ class ServiceInstance:
         )
 
     @classmethod
-    def restore(cls, checkpoint: Checkpoint, host: Host, clock: SimClock,
-                broker: Broker, processing_ms: float, output_topic: str,
-                instance_id: str, shadow: bool = False) -> "ServiceInstance":
+    def restore(cls, checkpoint: Checkpoint, clock: SimClock, broker: Broker,
+                processing_ms: float, output_topic: str, instance_id: str,
+                shadow: bool = False) -> "ServiceInstance":
         """Rebuild an instance from a checkpoint. It comes up Paused with
         state bit-identical to what was frozen."""
         state = deserialize_state(checkpoint.snapshot)
-        return cls(instance_id, host, state, clock, broker, processing_ms,
+        return cls(instance_id, state, clock, broker, processing_ms,
                    output_topic, shadow=shadow)
 
     def enter_replay(self, queue: str) -> None:

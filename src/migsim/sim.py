@@ -100,13 +100,11 @@ class Simulation:
         self.mode_log: list[ModeTransition] = []
         self._serving: set[str] = set()
         self._drained_at: float | None = None
-        self._completed_record: MigrationRecord | None = None
         self._ran = False
 
         self.source = ServiceInstance(
-            f"{SERVICE_ID}@{params.source_host.id}", params.source_host,
-            ServiceState(), self.clock, self.broker, params.processing_ms,
-            OUTPUT_QUEUE)
+            f"{SERVICE_ID}@{params.source_host.id}", ServiceState(),
+            self.clock, self.broker, params.processing_ms, OUTPUT_QUEUE)
         self._wire_instance(self.source)
         self.source.start_serving(MAIN_QUEUE)
 
@@ -171,7 +169,6 @@ class Simulation:
 
     def _on_migration_complete(self, record: MigrationRecord,
                                serving: ServiceInstance | None) -> None:
-        self._completed_record = record
         if serving is None:
             return
         completed_at = self.clock.now

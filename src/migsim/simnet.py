@@ -61,22 +61,16 @@ class SimClock:
     def pending(self) -> int:
         return sum(1 for _, _, ev in self._heap if not ev.cancelled)
 
-    def run_until(self, end_time: float | None = None, predicate=None,
-                  max_events: int = 10_000_000) -> float:
-        """Run events in order until the queue drains, end_time passes, or
-        predicate() becomes true after an event. Returns the final time.
+    def run_until(self, max_events: int = 10_000_000) -> float:
+        """Run events in order until the queue drains. Returns the final time.
 
-        With an end_time, every event with timestamp <= end_time fires and
-        the clock then advances to end_time. With neither bound the queue
-        is drained completely.
+        Firing max_events events in one call is taken to mean that the run
+        does not terminate, and raises SimError.
         """
         heap = self._heap
         processed = 0
         while heap:
-            time = heap[0][0]
-            if end_time is not None and time > end_time:
-                break
-            ev = heapq.heappop(heap)[2]
+            time, _, ev = heapq.heappop(heap)
             if ev.cancelled:
                 continue
             if time < self.now:
@@ -87,10 +81,6 @@ class SimClock:
             self.events_processed += 1
             if processed >= max_events:
                 raise SimError("event budget exhausted; run does not terminate")
-            if predicate is not None and predicate():
-                return self.now
-        if end_time is not None and end_time > self.now:
-            self.now = end_time
         return self.now
 
 

@@ -1,6 +1,5 @@
 import json
 import re
-import statistics
 from pathlib import Path
 
 import pytest
@@ -104,26 +103,6 @@ def test_load_csv_rejects_unknown_header(tmp_path):
         load_csv(path)
 
 
-def test_aggregates_recompute_from_rows():
-    report = run_experiment(parse_scenario(_doc(trials=3)))
-    agg = report.aggregates()
-    for tech in ("MS2M", "StopAndCopy"):
-        totals = [r.total_ms for r in report.rows if r.technique == tech]
-        stats = agg[tech]["total_ms"]
-        assert stats.n == 3
-        assert stats.mean == statistics.fmean(totals)
-        assert stats.stdev == statistics.stdev(totals)
-        assert stats.minimum == min(totals)
-        assert stats.median == statistics.median(totals)
-        assert stats.maximum == max(totals)
-
-
-def test_aggregates_single_row_has_zero_stdev():
-    report = run_experiment(parse_scenario(_doc(trials=1,
-                                                techniques=["MS2M"])))
-    assert report.aggregates()["MS2M"]["total_ms"].stdev == 0.0
-
-
 def _row(tech, outcome="Completed", **kw):
     base = dict(schema_version=1, trial=0, technique=tech, outcome=outcome,
                 total_ms=0.0, downtime_strict_ms=0.0, downtime_paused_ms=0.0,
@@ -178,7 +157,7 @@ def test_parse_collects_every_error():
         parse_scenario(doc)
     messages = err.value.errors
     for prefix in ("schema_version:", "techniques:", "workload.kind:",
-                   "hosts:", "trigger_ms:"):
+                   "hosts:", "migration.trigger_ms:"):
         assert any(m.startswith(prefix) for m in messages), prefix
     assert len(messages) >= 5
 
@@ -191,10 +170,30 @@ def test_parse_collects_every_error():
     with pytest.raises(ConfigError) as err:
         parse_scenario(doc)
     messages = err.value.errors
-    for prefix in ("processing_ms:", "latency_ms:", "duration_ms:",
-                   "trigger_ms:"):
+    for prefix in ("service.processing_ms:", "links[0].latency_ms:",
+                   "workload.duration_ms:", "migration.trigger_ms:"):
         assert any(m.startswith(prefix) and "must be finite" in m
                    for m in messages), prefix
+
+    # each error names its field's full path, and a host or link with a bad
+    # number stays known, so no unknown-host or missing-link error follows
+    doc = _doc()
+    doc["hosts"][1]["restore_fixed_ms"] = -1
+    doc["links"].append({"source": "b", "target": "a", "jitter_frac": 2})
+    doc["links"][0]["latency_ms"] = "far"
+    doc["overrides"] = {"MS2M": {"latency_ms": -5}}
+    doc["fault"] = {"kind": "source_crash", "at_ms": -1}
+    doc["workload"]["seed"] = -1
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(doc)
+    assert sorted(err.value.errors) == [
+        "fault.at_ms: must be >= 0.0, got -1",
+        "hosts[1].restore_fixed_ms: must be >= 0.0, got -1",
+        "links[0].latency_ms: must be a number, got 'far'",
+        "links[1].jitter_frac: must be <= 1.0",
+        "overrides.MS2M.latency_ms: must be >= 0.0, got -5",
+        "workload.seed: must be >= 0, got -1",
+    ]
 
 
 def test_parse_validates_topology():
@@ -212,6 +211,12 @@ def test_parse_validates_topology():
     doc["migration"]["target"] = "a"
     with pytest.raises(ConfigError, match="must differ"):
         parse_scenario(doc)
+
+    # an empty list leaves effective_params no link to pick
+    for links in ([], {}):
+        with pytest.raises(ConfigError) as err:
+            parse_scenario(_doc(links=links))
+        assert err.value.errors == ["links: must be a non-empty list"]
 
 
 def test_parse_validates_link_numbers():

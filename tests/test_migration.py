@@ -16,34 +16,33 @@ from migsim.workload import WorkloadSpec, replay_stress_spec
 
 def test_drained_backlog_wins_even_past_timeout():
     policy = HandoffPolicy()
-    d = decide_handoff(0, arrival_rate_est=99.0, processing_rate_est=1.0,
-                       elapsed_replay_ms=1e9, policy=policy,
+    d = decide_handoff(0, elapsed_replay_ms=1e9, policy=policy,
                        overload_streak=999)
     assert d is Decision.HANDOFF
 
 
 def test_handoff_threshold_is_inclusive():
     policy = HandoffPolicy(handoff_threshold=5)
-    assert decide_handoff(5, 0, 0, 0, policy) is Decision.HANDOFF
-    assert decide_handoff(6, 0, 0, 0, policy) is Decision.CONTINUE
+    assert decide_handoff(5, 0, policy) is Decision.HANDOFF
+    assert decide_handoff(6, 0, policy) is Decision.CONTINUE
 
 
 def test_timeout_aborts_strictly_after_deadline():
     policy = HandoffPolicy(replay_timeout_ms=60_000.0)
-    assert decide_handoff(10, 0, 0, 60_000.0, policy) is Decision.CONTINUE
-    assert decide_handoff(10, 0, 0, 60_000.1, policy) is Decision.ABORT
+    assert decide_handoff(10, 60_000.0, policy) is Decision.CONTINUE
+    assert decide_handoff(10, 60_000.1, policy) is Decision.ABORT
 
 
 def test_timeout_none_disables_deadline():
     policy = HandoffPolicy(replay_timeout_ms=None)
-    assert decide_handoff(10, 0, 0, 1e12, policy) is Decision.CONTINUE
+    assert decide_handoff(10, 1e12, policy) is Decision.CONTINUE
 
 
 def test_sustained_overload_aborts_at_window():
     policy = HandoffPolicy(divergence_window=5)
-    assert decide_handoff(10, 9, 1, 0, policy, overload_streak=4) \
+    assert decide_handoff(10, 0, policy, overload_streak=4) \
         is Decision.CONTINUE
-    assert decide_handoff(10, 9, 1, 0, policy, overload_streak=5) \
+    assert decide_handoff(10, 0, policy, overload_streak=5) \
         is Decision.ABORT
 
 

@@ -6,7 +6,7 @@ from migsim.service import (Mode, ModeError, ProtocolError, SerializationError,
                             ServiceInstance, ServiceState, StaleMessage,
                             UnknownCommand, deserialize_state, handle,
                             serialize_state, state_size_bytes)
-from migsim.simnet import Host, SimClock
+from migsim.simnet import SimClock
 
 
 def _msg(mid: int, payload: bytes) -> Message:
@@ -176,8 +176,8 @@ def _rig(processing_ms=4.0, shadow=False):
     broker = Broker(clock)
     broker.create_queue("in")
     broker.create_queue("out")
-    inst = ServiceInstance("i1", Host("h1"), ServiceState(), clock, broker,
-                           processing_ms, "out", shadow=shadow)
+    inst = ServiceInstance("i1", ServiceState(), clock, broker, processing_ms,
+                           "out", shadow=shadow)
     return clock, broker, inst
 
 
@@ -243,8 +243,7 @@ def test_restore_round_trip_state():
     clock.run_until()
     inst.pause()
     cp = inst.create_checkpoint()
-    twin = ServiceInstance.restore(cp, Host("h2"), clock, broker, 0.0, "out",
-                                   "i2")
+    twin = ServiceInstance.restore(cp, clock, broker, 0.0, "out", "i2")
     assert twin.mode is Mode.PAUSED
     assert serialize_state(twin.state) == cp.snapshot
     assert twin.state.last_processed_id == 2
@@ -272,8 +271,7 @@ def test_replay_suppresses_outputs_and_rejects_stale():
     broker.start_mirror("feed", "in.sec", 3)
     assert broker.queue("in.sec").ids() == [3, 4, 5]
 
-    twin = ServiceInstance.restore(cp, Host("h2"), clock, broker, 1.0, "out",
-                                   "i2")
+    twin = ServiceInstance.restore(cp, clock, broker, 1.0, "out", "i2")
     twin.enter_replay("in.sec")
     clock.run_until()
     assert twin.rejected_count == 2
@@ -297,8 +295,7 @@ def test_freeze_replay_waits_for_in_flight():
         broker.start_mirror("in", "in.sec", 2)
         broker.publish("in", b"add n 1")   # id 2 lands in the mirror
 
-        twin = ServiceInstance.restore(cp, Host("h2"), clock, broker, 3.0,
-                                       "out", "i2")
+        twin = ServiceInstance.restore(cp, clock, broker, 3.0, "out", "i2")
         frozen_at = []
         twin.enter_replay("in.sec")
 
@@ -334,8 +331,7 @@ def test_finish_replay_refuses_watermark_below_applied():
     clock.run_until()
     inst.pause()
     cp = inst.create_checkpoint()
-    twin = ServiceInstance.restore(cp, Host("h2"), clock, broker, 0.0, "out",
-                                   "i2")
+    twin = ServiceInstance.restore(cp, clock, broker, 0.0, "out", "i2")
     broker.create_queue("in.sec")
     twin.enter_replay("in.sec")
     with pytest.raises(ProtocolError):
@@ -352,8 +348,7 @@ def test_finish_replay_switches_to_main_at_watermark():
     broker.publish("in", b"add n 1")       # id 1: replayed (<= watermark)
     broker.publish("in", b"add n 1")       # id 2: served from main afterwards
 
-    twin = ServiceInstance.restore(cp, Host("h2"), clock, broker, 1.0, "out",
-                                   "i2")
+    twin = ServiceInstance.restore(cp, clock, broker, 1.0, "out", "i2")
     twin.enter_replay("in.sec")
     switched = []
     twin.finish_replay(1, "in", lambda _i: switched.append(clock.now))

@@ -56,28 +56,6 @@ def test_cancelled_event_never_fires():
     assert seen == ["yes"]
 
 
-def test_run_until_advances_clock_to_end_time():
-    clock = SimClock()
-    seen = []
-    clock.schedule(3.0, lambda: seen.append(1))
-    clock.schedule(100.0, lambda: seen.append(2))
-    clock.run_until(end_time=50.0)
-    assert seen == [1]
-    assert clock.now == 50.0
-    clock.run_until()
-    assert seen == [1, 2]
-
-
-def test_run_until_predicate_stops_early():
-    clock = SimClock()
-    hits = []
-    for i in range(10):
-        clock.schedule(float(i + 1), lambda i=i: hits.append(i))
-    clock.run_until(predicate=lambda: len(hits) >= 3)
-    assert hits == [0, 1, 2]
-    assert clock.now == 3.0
-
-
 def test_event_budget_guards_against_runaway_loops():
     clock = SimClock()
 
