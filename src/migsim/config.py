@@ -12,22 +12,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
-from .migration import HandoffPolicy, Phase, Technique
+from .migration import HandoffPolicy, Technique
 from .sim import FaultSpec, SimParams
 from .simnet import Host, Link
-from .workload import KINDS, MIN_PAYLOAD_BYTES, WorkloadSpec
+from .workload import KINDS, MAX_PAYLOAD_BYTES, MIN_PAYLOAD_BYTES, WorkloadSpec
 
 SCHEMA_VERSION = 1
-
-_HOST_FIELDS = ("checkpoint_fixed_ms", "checkpoint_ms_per_kib",
-                "restore_fixed_ms", "restore_ms_per_kib")
-_OVERRIDE_KEYS = {
-    "pause_ms", "continuation_ms",
-    "checkpoint_fixed_ms", "checkpoint_ms_per_kib",
-    "restore_fixed_ms", "restore_ms_per_kib",
-    "latency_ms", "bandwidth_kib_per_s", "jitter_frac",
-}
 
 
 class ConfigError(Exception):
@@ -39,6 +31,56 @@ class ConfigError(Exception):
 
 
 _REQUIRED = object()
+
+
+class _Rule(NamedTuple):
+    """How one numeric field is read. minimum is inclusive, above is an
+    exclusive lower bound, maximum is inclusive."""
+
+    default: object = _REQUIRED
+    minimum: float | None = None
+    above: float | None = None
+    maximum: float | None = None
+    integer: bool = False
+    nullable: bool = False
+
+
+# One table per scenario object. A field's rule is stated here and nowhere
+# else in this module; an override obeys the rule of the field it replaces.
+_COST = _Rule(0.0, minimum=0.0)
+_TOP = {
+    "schema_version": _Rule(integer=True),
+    "seed": _Rule(0, minimum=0, integer=True),
+    "trials": _Rule(1, minimum=1, integer=True),
+    "delivery_latency_ms": _COST,
+}
+_SERVICE = {"processing_ms": _Rule(1.0, minimum=0.0)}
+_WORKLOAD = {
+    "arrival_rate": _Rule(minimum=0.0),
+    "duration_ms": _Rule(minimum=0.0),
+    "payload_size_bytes": _Rule(128, minimum=MIN_PAYLOAD_BYTES,
+                                maximum=MAX_PAYLOAD_BYTES, integer=True),
+    "seed": _Rule(0, minimum=0, integer=True),
+}
+_CHECKPOINT_COSTS = {"checkpoint_fixed_ms": _COST, "checkpoint_ms_per_kib": _COST}
+_RESTORE_COSTS = {"restore_fixed_ms": _COST, "restore_ms_per_kib": _COST}
+_LINK = {
+    "latency_ms": _COST,
+    "bandwidth_kib_per_s": _Rule(None, above=0, nullable=True),
+    "jitter_frac": _Rule(0.0, minimum=0.0, maximum=1.0),
+}
+_PHASE_COSTS = {"pause_ms": _COST, "continuation_ms": _COST}
+_MIGRATION = {"trigger_ms": _Rule(minimum=0.0), **_PHASE_COSTS}
+_POLICY = {
+    "handoff_threshold": _Rule(0, minimum=0, integer=True),
+    "replay_timeout_ms": _Rule(60_000.0, above=0, nullable=True),
+    "divergence_window": _Rule(5, minimum=1, integer=True),
+    # the floor caps the replay monitor at timeout / interval checks
+    "check_interval_ms": _Rule(100.0, minimum=1.0),
+}
+_FAULT = {"at_ms": _Rule(None, minimum=0.0, nullable=True),
+          "offset_ms": _COST}
+_OVERRIDES = _CHECKPOINT_COSTS | _RESTORE_COSTS | _LINK | _PHASE_COSTS
 
 
 @dataclass(frozen=True)
@@ -63,33 +105,43 @@ class ScenarioConfig:
     delivery_latency_ms: float = 0.0
 
 
-def _num(doc, key, errors, *, where="", minimum=None, allow_none=False,
-         integer=False, default=_REQUIRED):
-    """Pull one numeric field, recording an error instead of raising. where
-    is the path of the object holding it, so an error names the field's full
-    path, e.g. 'hosts[1].restore_fixed_ms'."""
+def _num(doc, key, rule, errors, where=""):
+    """Pull one numeric field by its rule, recording an error instead of
+    raising. where is the path of the object holding it, so an error names
+    the field's full path, e.g. 'hosts[1].restore_fixed_ms'. A bad value
+    yields the field's default as a placeholder (None if required), so the
+    object holding it stays known and adds no false follow-on errors."""
     path = f"{where}.{key}" if where else key
     if key not in doc:
-        if default is not _REQUIRED:
-            return default
-        errors.append(f"{path}: required")
-        return None
+        if rule.default is _REQUIRED:
+            errors.append(f"{path}: required")
+            return None
+        return rule.default
     val = doc[key]
-    if val is None and allow_none:
+    if val is None and rule.nullable:
         return None
-    ok_types = (int,) if integer else (int, float)
+    ok_types = (int,) if rule.integer else (int, float)
     if not isinstance(val, ok_types) or isinstance(val, bool):
-        kind = "an integer" if integer else "a number"
-        errors.append(f"{path}: must be {kind}, got {val!r}")
-        return None
+        kind = "an integer" if rule.integer else "a number"
+        problem = f"must be {kind}, got {val!r}"
     # json.loads accepts NaN and Infinity, and NaN passes every comparison
-    if isinstance(val, float) and not math.isfinite(val):
-        errors.append(f"{path}: must be finite, got {val}")
-        return None
-    if minimum is not None and val < minimum:
-        errors.append(f"{path}: must be >= {minimum}, got {val}")
-        return None
-    return val
+    elif isinstance(val, float) and not math.isfinite(val):
+        problem = f"must be finite, got {val}"
+    elif rule.minimum is not None and val < rule.minimum:
+        problem = f"must be >= {rule.minimum}, got {val}"
+    elif rule.above is not None and val <= rule.above:
+        problem = f"must be > {rule.above}" + (" or null" if rule.nullable else "")
+    elif rule.maximum is not None and val > rule.maximum:
+        problem = f"must be <= {rule.maximum}"
+    else:
+        return val
+    errors.append(f"{path}: {problem}")
+    return None if rule.default is _REQUIRED else rule.default
+
+
+def _fields(doc, table, errors, where="") -> dict:
+    return {key: _num(doc, key, rule, errors, where)
+            for key, rule in table.items()}
 
 
 def parse_scenario(doc: dict) -> ScenarioConfig:
@@ -97,11 +149,10 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError(["scenario: top level must be a JSON object"])
 
-    version = _num(doc, "schema_version", errors, integer=True)
+    top = _fields(doc, _TOP, errors)
+    version = top["schema_version"]
     if version is not None and version != SCHEMA_VERSION:
         errors.append(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
-    seed = _num(doc, "seed", errors, integer=True, minimum=0, default=0)
-    trials = _num(doc, "trials", errors, integer=True, minimum=1, default=1)
 
     techniques: list[Technique] = []
     raw_techniques = doc.get("techniques")
@@ -126,8 +177,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     if not isinstance(service, dict):
         errors.append("service: must be an object")
         service = {}
-    processing_ms = _num(service, "processing_ms", errors, where="service",
-                         minimum=0.0, default=1.0)
+    processing = _fields(service, _SERVICE, errors, "service")
 
     hosts = _parse_hosts(doc.get("hosts"), errors)
     links = _parse_links(doc.get("links"), hosts, errors)
@@ -150,39 +200,25 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             and not any(l.source == source and l.target == target for l in links)):
         errors.append(f"links: no link from {source!r} to {target!r}")
 
-    trigger_ms = _num(mig, "trigger_ms", errors, where="migration",
-                      minimum=0.0)
-    pause_ms = _num(mig, "pause_ms", errors, where="migration", minimum=0.0,
-                    default=0.0)
-    continuation_ms = _num(mig, "continuation_ms", errors, where="migration",
-                           minimum=0.0, default=0.0)
-    policy = _parse_policy(mig, errors)
+    timing = _fields(mig, _MIGRATION, errors, "migration")
+    policy = HandoffPolicy(**_fields(mig, _POLICY, errors, "migration"))
     overrides = _parse_overrides(doc.get("overrides", {}), errors)
     fault = _parse_fault(doc.get("fault"), errors)
-    delivery_latency_ms = _num(doc, "delivery_latency_ms", errors,
-                               minimum=0.0, default=0.0)
 
     if errors:
         raise ConfigError(errors)
     return ScenarioConfig(
-        schema_version=version,
-        seed=seed,
-        trials=trials,
+        **top, **processing, **timing,
         techniques=tuple(techniques),
         workload=workload,
         workload_seed_fixed=seed_fixed,
-        processing_ms=processing_ms,
         hosts=hosts,
         links=tuple(links),
         source=source,
         target=target,
-        trigger_ms=trigger_ms,
-        pause_ms=pause_ms,
-        continuation_ms=continuation_ms,
         policy=policy,
         overrides=overrides,
         fault=fault,
-        delivery_latency_ms=delivery_latency_ms,
     )
 
 
@@ -194,22 +230,10 @@ def _parse_workload(raw, errors) -> tuple[WorkloadSpec | None, bool]:
     if kind not in KINDS:
         errors.append(f"workload.kind: must be one of {', '.join(KINDS)}")
         return None, False
-    rate = _num(raw, "arrival_rate", errors, where="workload", minimum=0.0)
-    duration = _num(raw, "duration_ms", errors, where="workload", minimum=0.0)
-    payload = _num(raw, "payload_size_bytes", errors, where="workload",
-                   integer=True, minimum=MIN_PAYLOAD_BYTES, default=128)
-    seed_fixed = "seed" in raw
-    seed = _num(raw, "seed", errors, where="workload", integer=True,
-                minimum=0, default=0)
-    if rate is None or duration is None or payload is None or seed is None:
+    fields = _fields(raw, _WORKLOAD, errors, "workload")
+    if fields["arrival_rate"] is None or fields["duration_ms"] is None:
         return None, False
-    try:
-        spec = WorkloadSpec(kind=kind, arrival_rate=rate, duration_ms=duration,
-                            payload_size_bytes=payload, seed=seed)
-    except ValueError as exc:
-        errors.append(f"workload: {exc}")
-        return None, False
-    return spec, seed_fixed
+    return WorkloadSpec(kind=kind, **fields), "seed" in raw
 
 
 def _parse_hosts(raw, errors) -> dict[str, Host]:
@@ -229,15 +253,10 @@ def _parse_hosts(raw, errors) -> dict[str, Host]:
         if host_id in hosts:
             errors.append(f"{where}.id: duplicate host {host_id!r}")
             continue
-        fields = {}
-        for name in _HOST_FIELDS:
-            val = _num(item, name, errors, where=where, minimum=0.0,
-                       default=0.0)
-            # a bad number is already an error; the placeholder keeps the
-            # host known, so links and migration naming it add no false ones
-            fields[name] = 0.0 if val is None else val
-        hosts[host_id] = Host(id=host_id, region=item.get("region", ""),
-                              **fields)
+        # a bad number gets a placeholder, keeping the host known
+        hosts[host_id] = Host(
+            id=host_id, region=item.get("region", ""),
+            **_fields(item, _CHECKPOINT_COSTS | _RESTORE_COSTS, errors, where))
     return hosts
 
 
@@ -261,54 +280,17 @@ def _parse_links(raw, hosts, errors) -> list[Link]:
             elif hosts and endpoint not in hosts:
                 errors.append(f"{label}: unknown host {endpoint!r}")
                 ok = False
-        latency = _num(item, "latency_ms", errors, where=where, minimum=0.0,
-                       default=0.0)
-        bandwidth = _num(item, "bandwidth_kib_per_s", errors, where=where,
-                         allow_none=True, default=None)
-        if bandwidth is not None and bandwidth <= 0:
-            errors.append(f"{where}.bandwidth_kib_per_s: must be > 0 or null")
-            bandwidth = None
-        jitter = _num(item, "jitter_frac", errors, where=where, minimum=0.0,
-                      default=0.0)
-        if jitter is not None and jitter > 1.0:
-            errors.append(f"{where}.jitter_frac: must be <= 1.0")
-            jitter = None
+        numbers = _fields(item, _LINK, errors, where)
         if not ok:
             continue
         if (src, dst) in seen:
             errors.append(f"{where}: duplicate link {src!r} -> {dst!r}")
             continue
         seen.add((src, dst))
-        # as with hosts, a bad number gets a placeholder rather than dropping
-        # the link, so the migration's link check adds no false error
-        links.append(Link(source=src, target=dst,
-                          latency_ms=0.0 if latency is None else latency,
-                          bandwidth_kib_per_s=bandwidth,
-                          jitter_frac=0.0 if jitter is None else jitter))
+        # as with hosts, a bad number keeps the link with a placeholder, so
+        # the migration's link check adds no false error
+        links.append(Link(source=src, target=dst, **numbers))
     return links
-
-
-def _parse_policy(mig: dict, errors) -> HandoffPolicy:
-    threshold = _num(mig, "handoff_threshold", errors, where="migration",
-                     integer=True, minimum=0, default=0)
-    timeout = _num(mig, "replay_timeout_ms", errors, where="migration",
-                   allow_none=True, default=60_000.0)
-    if timeout is not None and timeout <= 0:
-        errors.append("migration.replay_timeout_ms: must be > 0 or null")
-        timeout = None
-    window = _num(mig, "divergence_window", errors, where="migration",
-                  integer=True, minimum=1, default=5)
-    interval = _num(mig, "check_interval_ms", errors, where="migration",
-                    default=100.0)
-    if interval is not None and interval <= 0:
-        errors.append("migration.check_interval_ms: must be > 0")
-        interval = 100.0
-    return HandoffPolicy(
-        handoff_threshold=threshold if threshold is not None else 0,
-        replay_timeout_ms=timeout,
-        divergence_window=window if window is not None else 5,
-        check_interval_ms=interval if interval is not None else 100.0,
-    )
 
 
 def _parse_overrides(raw, errors) -> dict[str, dict]:
@@ -327,21 +309,10 @@ def _parse_overrides(raw, errors) -> dict[str, dict]:
             continue
         clean = {}
         for key in fields:
-            if key not in _OVERRIDE_KEYS:
+            if key in _OVERRIDES:
+                clean[key] = _num(fields, key, _OVERRIDES[key], errors, where)
+            else:
                 errors.append(f"{where}.{key}: unknown override")
-                continue
-            allow_none = key == "bandwidth_kib_per_s"
-            val = _num(fields, key, errors, where=where,
-                       minimum=None if allow_none else 0.0,
-                       allow_none=allow_none)
-            if key == "bandwidth_kib_per_s" and val is not None and val <= 0:
-                errors.append(f"{where}.{key}: must be > 0 or null")
-                continue
-            if key == "jitter_frac" and val is not None and val > 1.0:
-                errors.append(f"{where}.{key}: must be <= 1.0")
-                continue
-            if val is not None or allow_none:
-                clean[key] = val
         overrides[tech] = clean
     return overrides
 
@@ -352,17 +323,16 @@ def _parse_fault(raw, errors) -> FaultSpec | None:
     if not isinstance(raw, dict):
         errors.append("fault: must be an object or null")
         return None
-    kind = raw.get("kind", "source_crash")
-    at_ms = _num(raw, "at_ms", errors, where="fault", minimum=0.0,
-                 default=None, allow_none=True)
-    if at_ms is None and raw.get("at_ms") is not None:
-        at_ms = 0.0  # a bad number, already reported; keep it given
+    numbers = _fields(raw, _FAULT, errors, "fault")
+    if numbers["at_ms"] is None and raw.get("at_ms") is not None:
+        numbers["at_ms"] = 0.0  # a bad number, already reported; keep it given
     phase = raw.get("phase")
-    offset = _num(raw, "offset_ms", errors, where="fault", minimum=0.0,
-                  default=0.0)
+    if phase is not None and not isinstance(phase, str):
+        errors.append(f"fault.phase: must be a phase name or null, got {phase!r}")
+        return None
     try:
-        return FaultSpec(kind=kind, at_ms=at_ms, phase=phase,
-                         offset_ms=offset if offset is not None else 0.0)
+        return FaultSpec(kind=raw.get("kind", "source_crash"), phase=phase,
+                         **numbers)
     except ValueError as exc:
         errors.append(f"fault: {exc}")
         return None
@@ -390,23 +360,8 @@ def effective_params(config: ScenarioConfig, technique: Technique,
     seed; a workload that pinned its own seed keeps it across trials.
     """
     ov = config.overrides.get(technique.value, {})
-    source_host = config.hosts[config.source]
-    target_host = config.hosts[config.target]
     link = next(l for l in config.links
                 if l.source == config.source and l.target == config.target)
-
-    host_keys = {k: ov[k] for k in ("checkpoint_fixed_ms", "checkpoint_ms_per_kib")
-                 if k in ov}
-    if host_keys:
-        source_host = dataclasses.replace(source_host, **host_keys)
-    host_keys = {k: ov[k] for k in ("restore_fixed_ms", "restore_ms_per_kib")
-                 if k in ov}
-    if host_keys:
-        target_host = dataclasses.replace(target_host, **host_keys)
-    link_keys = {k: ov[k] for k in ("latency_ms", "bandwidth_kib_per_s",
-                                    "jitter_frac") if k in ov}
-    if link_keys:
-        link = dataclasses.replace(link, **link_keys)
 
     trial_seed = config.seed + trial
     workload = config.workload
@@ -414,9 +369,10 @@ def effective_params(config: ScenarioConfig, technique: Technique,
         workload = dataclasses.replace(workload, seed=trial_seed)
 
     return SimParams(
-        source_host=source_host,
-        target_host=target_host,
-        link=link,
+        source_host=_override(config.hosts[config.source], ov,
+                              _CHECKPOINT_COSTS),
+        target_host=_override(config.hosts[config.target], ov, _RESTORE_COSTS),
+        link=_override(link, ov, _LINK),
         workload=workload,
         processing_ms=config.processing_ms,
         pause_ms=ov.get("pause_ms", config.pause_ms),
@@ -428,3 +384,9 @@ def effective_params(config: ScenarioConfig, technique: Technique,
         fault=config.fault,
         delivery_latency_ms=config.delivery_latency_ms,
     )
+
+
+def _override(obj, ov: dict, table: dict):
+    """obj with the overrides that belong to table's fields applied."""
+    given = {key: val for key, val in ov.items() if key in table}
+    return dataclasses.replace(obj, **given) if given else obj

@@ -38,7 +38,8 @@ class FaultSpec:
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if (self.at_ms is None) == (self.phase is None):
             raise ValueError("fault needs exactly one of at_ms or phase")
-        if self.phase is not None and self.phase not in {p.value for p in Phase}:
+        # a list, not a set: an unhashable phase is unknown, not a TypeError
+        if self.phase is not None and self.phase not in [p.value for p in Phase]:
             raise ValueError(f"unknown phase {self.phase!r}")
         if self.offset_ms < 0 or (self.at_ms is not None and self.at_ms < 0):
             raise ValueError("fault times must be >= 0")

@@ -13,6 +13,9 @@ KINDS = ("GameSession", "ConstantRate", "Poisson")
 
 # smallest payload that still fits the command headers below
 MIN_PAYLOAD_BYTES = 16
+# largest payload a scenario may ask for: generate() allocates payloads
+# whole, and a GameSession settings payload rides in every checkpoint
+MAX_PAYLOAD_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,9 @@ class WorkloadSpec:
         if self.payload_size_bytes < MIN_PAYLOAD_BYTES:
             raise ValueError(
                 f"payload_size_bytes must be >= {MIN_PAYLOAD_BYTES}")
+        if self.payload_size_bytes > MAX_PAYLOAD_BYTES:
+            raise ValueError(
+                f"payload_size_bytes must be <= {MAX_PAYLOAD_BYTES}")
 
 
 def score_payload(size_bytes: int) -> bytes:

@@ -1,12 +1,15 @@
+import copy
+import dataclasses
 import json
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from migsim.cli import main
-from migsim.config import (ConfigError, SCHEMA_VERSION, effective_params,
-                           load_scenario, parse_scenario)
+from migsim.config import (ConfigError, SCHEMA_VERSION, ScenarioConfig,
+                           effective_params, load_scenario, parse_scenario)
 from migsim.harness import (CSV_COLUMNS, MetricsReport, TrialRow, compare,
                             export_csv, load_csv, run_experiment)
 from migsim.migration import Technique
@@ -195,6 +198,23 @@ def test_parse_collects_every_error():
         "workload.seed: must be >= 0, got -1",
     ]
 
+    # a payload over 1 MiB and a replay check under 1 ms would pass here and
+    # then fail the run, so both are bounded; the bounds themselves pass
+    doc = _doc()
+    doc["workload"]["payload_size_bytes"] = (1 << 20) + 1
+    doc["migration"]["check_interval_ms"] = 1e-9
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(doc)
+    assert sorted(err.value.errors) == [
+        "migration.check_interval_ms: must be >= 1.0, got 1e-09",
+        "workload.payload_size_bytes: must be <= 1048576",
+    ]
+    doc["workload"]["payload_size_bytes"] = 1 << 20
+    doc["migration"]["check_interval_ms"] = 1
+    config = parse_scenario(doc)
+    assert config.workload.payload_size_bytes == 1 << 20
+    assert config.policy.check_interval_ms == 1
+
 
 def test_parse_validates_topology():
     doc = _doc(links=[
@@ -261,6 +281,32 @@ def test_effective_params_applies_per_technique_overrides():
     assert ms.source_host == sc.source_host
     assert ms.workload == sc.workload
 
+    # every override key changes exactly its own field, on its own
+    # technique's params only; None names a field of SimParams itself
+    cases = {
+        "checkpoint_fixed_ms": (11, "source_host"),
+        "checkpoint_ms_per_kib": (12, "source_host"),
+        "restore_fixed_ms": (99, "target_host"),
+        "restore_ms_per_kib": (13, "target_host"),
+        "latency_ms": (5, "link"),
+        "bandwidth_kib_per_s": (None, "link"),
+        "jitter_frac": (0.25, "link"),
+        "pause_ms": (1, None),
+        "continuation_ms": (2, None),
+    }
+    base = parse_scenario(_doc())
+    for key, (val, part) in cases.items():
+        config = parse_scenario(_doc(overrides={"StopAndCopy": {key: val}}))
+        for tech in Technique:
+            want = effective_params(base, tech, trial=0)
+            if tech is Technique.STOP_AND_COPY:
+                holder = want if part is None else getattr(want, part)
+                assert getattr(holder, key) != val, key
+                changed = dataclasses.replace(holder, **{key: val})
+                want = (changed if part is None
+                        else dataclasses.replace(want, **{part: changed}))
+            assert effective_params(config, tech, trial=0) == want, (key, tech)
+
 
 def test_effective_params_per_trial_seeds():
     config = parse_scenario(_doc())
@@ -294,6 +340,59 @@ def test_shipped_scenarios_parse():
         config = load_scenario(path)
         assert config.trials >= 1
         assert config.techniques
+
+
+def _value_paths(node, prefix=()):
+    """The path of every value below node, as key and index tuples."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _value_paths(child, prefix + (key,))
+
+
+def _has(node, key) -> bool:
+    return (isinstance(node, dict) and key in node
+            or isinstance(node, list) and isinstance(key, int)
+            and key < len(node))
+
+
+_SHIPPED = {path.name: path.read_text() for path in SCENARIO_DIR.glob("*.json")}
+_PATHS = {name: list(_value_paths(json.loads(text)))
+          for name, text in _SHIPPED.items()}
+_DELETE = object()
+_EDIT = st.sampled_from([_DELETE, None, float("nan"), float("inf"), -1, "x",
+                         [], {}, 10**12])
+
+
+@st.composite
+def _mutants(draw):
+    name = draw(st.sampled_from(sorted(_SHIPPED)))
+    edits = draw(st.lists(st.tuples(st.sampled_from(_PATHS[name]), _EDIT),
+                          min_size=1, max_size=3))
+    return name, edits
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutants())
+@example(("crash_replay.json", [(("fault", "phase"), {})]))
+def test_parse_scenario_accepts_or_reports_mutants(mutant):
+    name, edits = mutant
+    doc = json.loads(_SHIPPED[name])
+    for path, edit in edits:
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key] if _has(holder, key) else None
+        if not _has(holder, path[-1]):
+            continue  # an earlier edit removed or replaced this path
+        if edit is _DELETE:
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = copy.deepcopy(edit)
+    try:
+        assert isinstance(parse_scenario(doc), ScenarioConfig)
+    except ConfigError as exc:
+        assert exc.errors
 
 
 # -- command line ----------------------------------------------------------------
@@ -349,6 +448,12 @@ def test_cli_validate(tmp_path, capsys):
     doc["migration"]["trigger_ms"] = float("nan")
     assert main(["validate", str(_write_scenario(tmp_path, doc))]) == 1
     assert "trigger_ms: must be finite" in capsys.readouterr().err
+
+    # a phase is a name: an object is a validation error, not a crash
+    doc = _doc(trials=1, fault={"kind": "source_crash",
+                                "phase": {"name": "MessageReplay"}})
+    assert main(["validate", str(_write_scenario(tmp_path, doc))]) == 1
+    assert "fault.phase: must be a phase name" in capsys.readouterr().err
 
 
 def test_cli_compare(tmp_path, capsys):

@@ -203,6 +203,8 @@ def test_fault_spec_validation():
     with pytest.raises(ValueError):
         FaultSpec(phase="NoSuchPhase")
     with pytest.raises(ValueError):
+        FaultSpec(phase={"name": "MessageReplay"})   # unhashable
+    with pytest.raises(ValueError):
         FaultSpec(phase="MessageReplay", offset_ms=-1)
     FaultSpec(at_ms=5.0)
     FaultSpec(phase="ServicePause", offset_ms=0.5)

@@ -5,9 +5,9 @@ from hypothesis import given, strategies as st
 
 from migsim.broker import Message
 from migsim.service import ServiceState, handle
-from migsim.workload import (MIN_PAYLOAD_BYTES, WorkloadSpec, generate,
-                             replay_stress_spec, score_payload,
-                             settings_payload)
+from migsim.workload import (MAX_PAYLOAD_BYTES, MIN_PAYLOAD_BYTES,
+                             WorkloadSpec, generate, replay_stress_spec,
+                             score_payload, settings_payload)
 
 
 def test_constant_rate_exact_times():
@@ -58,6 +58,10 @@ def test_min_payload_enforced():
         WorkloadSpec("ConstantRate", 1, 1000,
                      payload_size_bytes=MIN_PAYLOAD_BYTES - 1)
     WorkloadSpec("ConstantRate", 1, 1000, payload_size_bytes=MIN_PAYLOAD_BYTES)
+    with pytest.raises(ValueError):
+        WorkloadSpec("ConstantRate", 1, 1000,
+                     payload_size_bytes=MAX_PAYLOAD_BYTES + 1)
+    WorkloadSpec("ConstantRate", 1, 1000, payload_size_bytes=MAX_PAYLOAD_BYTES)
 
 
 def test_workload_spec_validation():
