@@ -10,11 +10,10 @@ Exit codes: 0 success, 1 scenario validation failure, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_scenario
+from .config import ConfigError, load_scenario, parse_scenario, read_scenario
 from .harness import compare, export_csv, load_csv, run_experiment, MetricsReport
 
 
@@ -44,14 +43,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    config = load_scenario(args.scenario)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    if args.trials is not None:
-        if args.trials < 1:
-            print("--trials must be >= 1", file=sys.stderr)
-            return 1
-        config = dataclasses.replace(config, trials=args.trials)
+    doc = read_scenario(args.scenario)
+    # a flag takes the place of the file's field, and so obeys its rule; a
+    # document that is not an object fails parse_scenario as it stands
+    if isinstance(doc, dict):
+        for key in ("seed", "trials"):
+            if getattr(args, key) is not None:
+                doc[key] = getattr(args, key)
+    config = parse_scenario(doc)
     report = run_experiment(config)
     out_path = Path(args.out) / (Path(args.scenario).stem + ".csv")
     export_csv(report, out_path)

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 from .migration import HandoffPolicy, Technique
+from .rules import REQUIRED, param, problem, rules
 from .sim import FaultSpec, SimParams
 from .simnet import Host, Link
-from .workload import KINDS, MAX_PAYLOAD_BYTES, MIN_PAYLOAD_BYTES, WorkloadSpec
+from .workload import KINDS, WorkloadSpec
 
 SCHEMA_VERSION = 1
 
@@ -30,64 +29,15 @@ class ConfigError(Exception):
         super().__init__("\n".join(self.errors))
 
 
-_REQUIRED = object()
-
-
-class _Rule(NamedTuple):
-    """How one numeric field is read. minimum is inclusive, above is an
-    exclusive lower bound, maximum is inclusive."""
-
-    default: object = _REQUIRED
-    minimum: float | None = None
-    above: float | None = None
-    maximum: float | None = None
-    integer: bool = False
-    nullable: bool = False
-
-
-# One table per scenario object. A field's rule is stated here and nowhere
-# else in this module; an override obeys the rule of the field it replaces.
-_COST = _Rule(0.0, minimum=0.0)
-_TOP = {
-    "schema_version": _Rule(integer=True),
-    "seed": _Rule(0, minimum=0, integer=True),
-    "trials": _Rule(1, minimum=1, integer=True),
-    "delivery_latency_ms": _COST,
-}
-_SERVICE = {"processing_ms": _Rule(1.0, minimum=0.0)}
-_WORKLOAD = {
-    "arrival_rate": _Rule(minimum=0.0),
-    "duration_ms": _Rule(minimum=0.0),
-    "payload_size_bytes": _Rule(128, minimum=MIN_PAYLOAD_BYTES,
-                                maximum=MAX_PAYLOAD_BYTES, integer=True),
-    "seed": _Rule(0, minimum=0, integer=True),
-}
-_CHECKPOINT_COSTS = {"checkpoint_fixed_ms": _COST, "checkpoint_ms_per_kib": _COST}
-_RESTORE_COSTS = {"restore_fixed_ms": _COST, "restore_ms_per_kib": _COST}
-_LINK = {
-    "latency_ms": _COST,
-    "bandwidth_kib_per_s": _Rule(None, above=0, nullable=True),
-    "jitter_frac": _Rule(0.0, minimum=0.0, maximum=1.0),
-}
-_PHASE_COSTS = {"pause_ms": _COST, "continuation_ms": _COST}
-_MIGRATION = {"trigger_ms": _Rule(minimum=0.0), **_PHASE_COSTS}
-_POLICY = {
-    "handoff_threshold": _Rule(0, minimum=0, integer=True),
-    "replay_timeout_ms": _Rule(60_000.0, above=0, nullable=True),
-    "divergence_window": _Rule(5, minimum=1, integer=True),
-    # the floor caps the replay monitor at timeout / interval checks
-    "check_interval_ms": _Rule(100.0, minimum=1.0),
-}
-_FAULT = {"at_ms": _Rule(None, minimum=0.0, nullable=True),
-          "offset_ms": _COST}
-_OVERRIDES = _CHECKPOINT_COSTS | _RESTORE_COSTS | _LINK | _PHASE_COSTS
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
-    schema_version: int
+    """A parsed scenario. The numeric rules of the fields it passes on are
+    those of the dataclasses that take them (SimParams, WorkloadSpec, Host,
+    Link, HandoffPolicy, FaultSpec); only its own fields' rules are here."""
+
+    schema_version: int = param(integer=True)
     seed: int
-    trials: int
+    trials: int = param(1, minimum=1, integer=True)
     techniques: tuple[Technique, ...]
     workload: WorkloadSpec
     workload_seed_fixed: bool
@@ -96,13 +46,21 @@ class ScenarioConfig:
     links: tuple[Link, ...]
     source: str
     target: str
-    trigger_ms: float
+    # a scenario must say when to migrate; SimParams may leave it out
+    trigger_ms: float = param(minimum=0.0)
     pause_ms: float
     continuation_ms: float
     policy: HandoffPolicy
-    overrides: dict[str, dict] = field(default_factory=dict)
-    fault: FaultSpec | None = None
-    delivery_latency_ms: float = 0.0
+    overrides: dict[str, dict]
+    fault: FaultSpec | None
+    delivery_latency_ms: float
+
+
+# the rule of every numeric field a scenario sets outside its objects
+_SCENARIO = rules(SimParams) | rules(ScenarioConfig)
+# an override obeys the rule of the field it replaces
+_OVERRIDES = rules(Host) | rules(Link) | {
+    key: _SCENARIO[key] for key in ("pause_ms", "continuation_ms")}
 
 
 def _num(doc, key, rule, errors, where=""):
@@ -112,36 +70,22 @@ def _num(doc, key, rule, errors, where=""):
     yields the field's default as a placeholder (None if required), so the
     object holding it stays known and adds no false follow-on errors."""
     path = f"{where}.{key}" if where else key
+    placeholder = None if rule.default is REQUIRED else rule.default
     if key not in doc:
-        if rule.default is _REQUIRED:
+        if rule.default is REQUIRED:
             errors.append(f"{path}: required")
-            return None
-        return rule.default
-    val = doc[key]
-    if val is None and rule.nullable:
-        return None
-    ok_types = (int,) if rule.integer else (int, float)
-    if not isinstance(val, ok_types) or isinstance(val, bool):
-        kind = "an integer" if rule.integer else "a number"
-        problem = f"must be {kind}, got {val!r}"
-    # json.loads accepts NaN and Infinity, and NaN passes every comparison
-    elif isinstance(val, float) and not math.isfinite(val):
-        problem = f"must be finite, got {val}"
-    elif rule.minimum is not None and val < rule.minimum:
-        problem = f"must be >= {rule.minimum}, got {val}"
-    elif rule.above is not None and val <= rule.above:
-        problem = f"must be > {rule.above}" + (" or null" if rule.nullable else "")
-    elif rule.maximum is not None and val > rule.maximum:
-        problem = f"must be <= {rule.maximum}"
-    else:
-        return val
-    errors.append(f"{path}: {problem}")
-    return None if rule.default is _REQUIRED else rule.default
+        return placeholder
+    text = problem(doc[key], rule)
+    if text is None:
+        return doc[key]
+    errors.append(f"{path}: {text}")
+    return placeholder
 
 
-def _fields(doc, table, errors, where="") -> dict:
-    return {key: _num(doc, key, rule, errors, where)
-            for key, rule in table.items()}
+def _fields(doc, table, errors, where="", keys=None) -> dict:
+    """The fields of table named in keys (all of them by default)."""
+    return {key: _num(doc, key, table[key], errors, where)
+            for key in keys or table}
 
 
 def parse_scenario(doc: dict) -> ScenarioConfig:
@@ -149,7 +93,8 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError(["scenario: top level must be a JSON object"])
 
-    top = _fields(doc, _TOP, errors)
+    top = _fields(doc, _SCENARIO, errors, keys=(
+        "schema_version", "seed", "trials", "delivery_latency_ms"))
     version = top["schema_version"]
     if version is not None and version != SCHEMA_VERSION:
         errors.append(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
@@ -177,7 +122,8 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     if not isinstance(service, dict):
         errors.append("service: must be an object")
         service = {}
-    processing = _fields(service, _SERVICE, errors, "service")
+    processing = _fields(service, _SCENARIO, errors, "service",
+                         keys=("processing_ms",))
 
     hosts = _parse_hosts(doc.get("hosts"), errors)
     links = _parse_links(doc.get("links"), hosts, errors)
@@ -200,8 +146,10 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             and not any(l.source == source and l.target == target for l in links)):
         errors.append(f"links: no link from {source!r} to {target!r}")
 
-    timing = _fields(mig, _MIGRATION, errors, "migration")
-    policy = HandoffPolicy(**_fields(mig, _POLICY, errors, "migration"))
+    timing = _fields(mig, _SCENARIO, errors, "migration",
+                     keys=("trigger_ms", "pause_ms", "continuation_ms"))
+    policy = HandoffPolicy(
+        **_fields(mig, rules(HandoffPolicy), errors, "migration"))
     overrides = _parse_overrides(doc.get("overrides", {}), errors)
     fault = _parse_fault(doc.get("fault"), errors)
 
@@ -230,10 +178,14 @@ def _parse_workload(raw, errors) -> tuple[WorkloadSpec | None, bool]:
     if kind not in KINDS:
         errors.append(f"workload.kind: must be one of {', '.join(KINDS)}")
         return None, False
-    fields = _fields(raw, _WORKLOAD, errors, "workload")
+    fields = _fields(raw, rules(WorkloadSpec), errors, "workload")
     if fields["arrival_rate"] is None or fields["duration_ms"] is None:
         return None, False
-    return WorkloadSpec(kind=kind, **fields), "seed" in raw
+    try:
+        return WorkloadSpec(kind=kind, **fields), "seed" in raw
+    except ValueError as exc:
+        errors.append(f"workload: {exc}")
+        return None, False
 
 
 def _parse_hosts(raw, errors) -> dict[str, Host]:
@@ -256,7 +208,7 @@ def _parse_hosts(raw, errors) -> dict[str, Host]:
         # a bad number gets a placeholder, keeping the host known
         hosts[host_id] = Host(
             id=host_id, region=item.get("region", ""),
-            **_fields(item, _CHECKPOINT_COSTS | _RESTORE_COSTS, errors, where))
+            **_fields(item, rules(Host), errors, where))
     return hosts
 
 
@@ -280,7 +232,7 @@ def _parse_links(raw, hosts, errors) -> list[Link]:
             elif hosts and endpoint not in hosts:
                 errors.append(f"{label}: unknown host {endpoint!r}")
                 ok = False
-        numbers = _fields(item, _LINK, errors, where)
+        numbers = _fields(item, rules(Link), errors, where)
         if not ok:
             continue
         if (src, dst) in seen:
@@ -323,7 +275,7 @@ def _parse_fault(raw, errors) -> FaultSpec | None:
     if not isinstance(raw, dict):
         errors.append("fault: must be an object or null")
         return None
-    numbers = _fields(raw, _FAULT, errors, "fault")
+    numbers = _fields(raw, rules(FaultSpec), errors, "fault")
     if numbers["at_ms"] is None and raw.get("at_ms") is not None:
         numbers["at_ms"] = 0.0  # a bad number, already reported; keep it given
     phase = raw.get("phase")
@@ -338,17 +290,21 @@ def _parse_fault(raw, errors) -> FaultSpec | None:
         return None
 
 
-def load_scenario(path: str | Path) -> ScenarioConfig:
+def read_scenario(path: str | Path):
+    """The JSON document of a scenario file, not yet validated."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError([f"{path}: {exc}"]) from None
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"{path}: invalid JSON: {exc}"]) from None
-    return parse_scenario(doc)
+
+
+def load_scenario(path: str | Path) -> ScenarioConfig:
+    return parse_scenario(read_scenario(path))
 
 
 def effective_params(config: ScenarioConfig, technique: Technique,
@@ -369,10 +325,9 @@ def effective_params(config: ScenarioConfig, technique: Technique,
         workload = dataclasses.replace(workload, seed=trial_seed)
 
     return SimParams(
-        source_host=_override(config.hosts[config.source], ov,
-                              _CHECKPOINT_COSTS),
-        target_host=_override(config.hosts[config.target], ov, _RESTORE_COSTS),
-        link=_override(link, ov, _LINK),
+        source_host=_override(config.hosts[config.source], ov, "checkpoint_"),
+        target_host=_override(config.hosts[config.target], ov, "restore_"),
+        link=_override(link, ov),
         workload=workload,
         processing_ms=config.processing_ms,
         pause_ms=ov.get("pause_ms", config.pause_ms),
@@ -386,7 +341,10 @@ def effective_params(config: ScenarioConfig, technique: Technique,
     )
 
 
-def _override(obj, ov: dict, table: dict):
-    """obj with the overrides that belong to table's fields applied."""
-    given = {key: val for key, val in ov.items() if key in table}
+def _override(obj, ov: dict, prefix: str = ""):
+    """obj with the overrides of its own fields whose names start with
+    prefix applied."""
+    own = rules(type(obj))
+    given = {key: val for key, val in ov.items()
+             if key in own and key.startswith(prefix)}
     return dataclasses.replace(obj, **given) if given else obj

@@ -33,6 +33,7 @@ import random
 from dataclasses import dataclass, field
 
 from .broker import Broker
+from .rules import check, param
 from .service import (Checkpoint, Mode, ProtocolError, ServiceInstance,
                       state_size_bytes)
 from .simnet import (Host, Link, SimClock, checkpoint_duration,
@@ -127,20 +128,13 @@ class HandoffPolicy:
     estimate.
     """
 
-    handoff_threshold: int = 0
-    replay_timeout_ms: float | None = 60_000.0
-    divergence_window: int = 5
-    check_interval_ms: float = 100.0
+    handoff_threshold: int = param(0, minimum=0, integer=True)
+    replay_timeout_ms: float | None = param(60_000.0, above=0, nullable=True)
+    divergence_window: int = param(5, minimum=1, integer=True)
+    # the floor caps the replay monitor at timeout / interval checks
+    check_interval_ms: float = param(100.0, minimum=1.0)
 
-    def __post_init__(self):
-        if self.handoff_threshold < 0:
-            raise ValueError("handoff_threshold must be >= 0")
-        if self.replay_timeout_ms is not None and self.replay_timeout_ms <= 0:
-            raise ValueError("replay_timeout_ms must be > 0 or None")
-        if self.divergence_window < 1:
-            raise ValueError("divergence_window must be >= 1")
-        if self.check_interval_ms <= 0:
-            raise ValueError("check_interval_ms must be > 0")
+    __post_init__ = check
 
 
 def decide_handoff(backlog: int, elapsed_replay_ms: float,
@@ -311,8 +305,6 @@ class MigrationManager:
                  policy: HandoffPolicy, migration_id: str = "m1",
                  shadow: bool = False, on_complete=None,
                  on_phase_entered=None, on_instance_created=None):
-        if pause_ms < 0 or continuation_ms < 0:
-            raise ValueError("pause_ms and continuation_ms must be >= 0")
         self.clock = clock
         self.broker = broker
         self.rng = rng

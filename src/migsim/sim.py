@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .broker import Broker
 from .migration import (HandoffPolicy, MigrationManager, MigrationRecord,
                         Outcome, Phase, Technique)
+from .rules import check, param
 from .service import Mode, ServiceInstance, ServiceState, serialize_state
 from .simnet import Host, Link, SimClock, SimError
 from .workload import WorkloadSpec, generate
@@ -29,11 +30,12 @@ class FaultSpec:
     named migration phase."""
 
     kind: str = "source_crash"
-    at_ms: float | None = None
+    at_ms: float | None = param(None, minimum=0.0, nullable=True)
     phase: str | None = None
-    offset_ms: float = 0.0
+    offset_ms: float = param(0.0, minimum=0.0)
 
     def __post_init__(self):
+        check(self)
         if self.kind != "source_crash":
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if (self.at_ms is None) == (self.phase is None):
@@ -41,8 +43,6 @@ class FaultSpec:
         # a list, not a set: an unhashable phase is unknown, not a TypeError
         if self.phase is not None and self.phase not in [p.value for p in Phase]:
             raise ValueError(f"unknown phase {self.phase!r}")
-        if self.offset_ms < 0 or (self.at_ms is not None and self.at_ms < 0):
-            raise ValueError("fault times must be >= 0")
 
 
 @dataclass
@@ -52,16 +52,18 @@ class SimParams:
     link: Link
     workload: WorkloadSpec | None = None
     stream: list[tuple[float, bytes]] | None = None
-    processing_ms: float = 1.0
-    pause_ms: float = 0.0
-    continuation_ms: float = 0.0
+    processing_ms: float = param(1.0, minimum=0.0)
+    pause_ms: float = param(0.0, minimum=0.0)
+    continuation_ms: float = param(0.0, minimum=0.0)
     technique: Technique | None = None
-    trigger_ms: float | None = None
+    trigger_ms: float | None = param(None, minimum=0.0, nullable=True)
     policy: HandoffPolicy = field(default_factory=HandoffPolicy)
-    seed: int = 0
+    seed: int = param(0, minimum=0, integer=True)
     fault: FaultSpec | None = None
     shadow: bool = False
-    delivery_latency_ms: float = 0.0
+    delivery_latency_ms: float = param(0.0, minimum=0.0)
+
+    __post_init__ = check
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,11 @@ the order in which events were scheduled.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass
+
+from .rules import check, param
 
 
 class SimError(Exception):
@@ -48,8 +51,12 @@ class SimClock:
         return self.schedule_at(self.now + delay_ms, fn)
 
     def schedule_at(self, time_ms: float, fn) -> Event:
-        if time_ms < self.now:
-            raise SimError(f"cannot schedule into the past ({time_ms} < {self.now})")
+        # NaN fails both comparisons, and an event at inf would end the run there
+        if not self.now <= time_ms < math.inf:
+            if time_ms < self.now:
+                raise SimError(
+                    f"cannot schedule into the past ({time_ms} < {self.now})")
+            raise SimError(f"cannot schedule at a non-finite time ({time_ms})")
         ev = Event(fn)
         heapq.heappush(self._heap, (time_ms, self._seq, ev))
         self._seq += 1
@@ -94,16 +101,12 @@ class Host:
 
     id: str
     region: str = ""
-    checkpoint_fixed_ms: float = 0.0
-    checkpoint_ms_per_kib: float = 0.0
-    restore_fixed_ms: float = 0.0
-    restore_ms_per_kib: float = 0.0
+    checkpoint_fixed_ms: float = param(0.0, minimum=0.0)
+    checkpoint_ms_per_kib: float = param(0.0, minimum=0.0)
+    restore_fixed_ms: float = param(0.0, minimum=0.0)
+    restore_ms_per_kib: float = param(0.0, minimum=0.0)
 
-    def __post_init__(self):
-        for name in ("checkpoint_fixed_ms", "checkpoint_ms_per_kib",
-                     "restore_fixed_ms", "restore_ms_per_kib"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"host {self.id!r}: {name} must be >= 0")
+    __post_init__ = check
 
 
 @dataclass(frozen=True)
@@ -118,17 +121,11 @@ class Link:
 
     source: str
     target: str
-    latency_ms: float = 0.0
-    bandwidth_kib_per_s: float | None = None
-    jitter_frac: float = 0.0
+    latency_ms: float = param(0.0, minimum=0.0)
+    bandwidth_kib_per_s: float | None = param(None, above=0, nullable=True)
+    jitter_frac: float = param(0.0, minimum=0.0, maximum=1.0)
 
-    def __post_init__(self):
-        if self.latency_ms < 0:
-            raise ValueError("link latency_ms must be >= 0")
-        if self.bandwidth_kib_per_s is not None and self.bandwidth_kib_per_s <= 0:
-            raise ValueError("link bandwidth_kib_per_s must be > 0 when given")
-        if self.jitter_frac < 0:
-            raise ValueError("link jitter_frac must be >= 0")
+    __post_init__ = check
 
 
 def checkpoint_duration(host: Host, size_bytes: int) -> float:

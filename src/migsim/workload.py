@@ -9,6 +9,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .rules import check, param
+
 KINDS = ("GameSession", "ConstantRate", "Poisson")
 
 # smallest payload that still fits the command headers below
@@ -16,29 +18,29 @@ MIN_PAYLOAD_BYTES = 16
 # largest payload a scenario may ask for: generate() allocates payloads
 # whole, and a GameSession settings payload rides in every checkpoint
 MAX_PAYLOAD_BYTES = 1 << 20
+# most messages a spec may ask for (arrival_rate * duration_ms / 1000):
+# generate() materializes the stream whole, and at about 3 events per message
+# this keeps a run inside SimClock.run_until's event budget
+MAX_STREAM_MESSAGES = 1_000_000
 
 
 @dataclass(frozen=True)
 class WorkloadSpec:
     kind: str
-    arrival_rate: float            # messages per second
-    duration_ms: float
-    payload_size_bytes: int = 128
-    seed: int = 0
+    arrival_rate: float = param(minimum=0.0)    # messages per second
+    duration_ms: float = param(minimum=0.0)
+    payload_size_bytes: int = param(128, minimum=MIN_PAYLOAD_BYTES,
+                                    maximum=MAX_PAYLOAD_BYTES, integer=True)
+    seed: int = param(0, minimum=0, integer=True)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown workload kind {self.kind!r}")
-        if self.arrival_rate < 0:
-            raise ValueError("arrival_rate must be >= 0")
-        if self.duration_ms < 0:
-            raise ValueError("duration_ms must be >= 0")
-        if self.payload_size_bytes < MIN_PAYLOAD_BYTES:
-            raise ValueError(
-                f"payload_size_bytes must be >= {MIN_PAYLOAD_BYTES}")
-        if self.payload_size_bytes > MAX_PAYLOAD_BYTES:
-            raise ValueError(
-                f"payload_size_bytes must be <= {MAX_PAYLOAD_BYTES}")
+        check(self)
+        messages = self.arrival_rate * self.duration_ms / 1000
+        if messages > MAX_STREAM_MESSAGES:
+            raise ValueError(f"arrival_rate * duration_ms / 1000 must be <= "
+                             f"{MAX_STREAM_MESSAGES}, got {messages}")
 
 
 def score_payload(size_bytes: int) -> bytes:

@@ -12,7 +12,11 @@ from migsim.config import (ConfigError, SCHEMA_VERSION, ScenarioConfig,
                            effective_params, load_scenario, parse_scenario)
 from migsim.harness import (CSV_COLUMNS, MetricsReport, TrialRow, compare,
                             export_csv, load_csv, run_experiment)
-from migsim.migration import Technique
+from migsim.migration import HandoffPolicy, Technique
+from migsim.rules import rules
+from migsim.sim import FaultSpec, SimParams
+from migsim.simnet import Host, Link
+from migsim.workload import WorkloadSpec
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -164,17 +168,19 @@ def test_parse_collects_every_error():
         assert any(m.startswith(prefix) for m in messages), prefix
     assert len(messages) >= 5
 
+    # an integer past float range would overflow like inf, so it is refused
     nan, inf = float("nan"), float("inf")
     doc = _doc(service={"processing_ms": nan},
                links=[{"source": "a", "target": "b", "latency_ms": nan}],
-               workload={"kind": "ConstantRate", "arrival_rate": 40,
+               workload={"kind": "ConstantRate", "arrival_rate": 10**400,
                          "duration_ms": inf})
     doc["migration"]["trigger_ms"] = nan
     with pytest.raises(ConfigError) as err:
         parse_scenario(doc)
     messages = err.value.errors
     for prefix in ("service.processing_ms:", "links[0].latency_ms:",
-                   "workload.duration_ms:", "migration.trigger_ms:"):
+                   "workload.arrival_rate:", "workload.duration_ms:",
+                   "migration.trigger_ms:"):
         assert any(m.startswith(prefix) and "must be finite" in m
                    for m in messages), prefix
 
@@ -214,6 +220,18 @@ def test_parse_collects_every_error():
     config = parse_scenario(doc)
     assert config.workload.payload_size_bytes == 1 << 20
     assert config.policy.check_interval_ms == 1
+
+    # a stream over a million messages is refused before anything allocates
+    # it; the cap itself passes
+    doc = _doc()
+    doc["workload"].update(arrival_rate=1e6, duration_ms=1e9)
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(doc)
+    assert err.value.errors == [
+        "workload: arrival_rate * duration_ms / 1000 must be <= 1000000, "
+        "got 1000000000000.0"]
+    doc["workload"].update(arrival_rate=1000, duration_ms=1e6)
+    assert parse_scenario(doc).workload.duration_ms == 1e6
 
 
 def test_parse_validates_topology():
@@ -342,6 +360,70 @@ def test_shipped_scenarios_parse():
         assert config.techniques
 
 
+# where each ruled field of the run's dataclasses sits in a scenario, as a
+# path from the top of the document and the object's name in error paths
+_SCENARIO_HOMES = {
+    Host: (("hosts", 0), "hosts[0]"),
+    Link: (("links", 0), "links[0]"),
+    WorkloadSpec: (("workload",), "workload"),
+    HandoffPolicy: (("migration",), "migration"),
+    FaultSpec: (("fault",), "fault"),
+}
+_SIM_PARAMS_HOMES = {
+    "processing_ms": (("service",), "service"),
+    "pause_ms": (("migration",), "migration"),
+    "continuation_ms": (("migration",), "migration"),
+    "trigger_ms": (("migration",), "migration"),
+    "seed": ((), ""),
+    "delivery_latency_ms": ((), ""),
+}
+_LIBRARY_BASES = {
+    Host: Host("a"), Link: Link("a", "b"),
+    WorkloadSpec: WorkloadSpec("ConstantRate", 40, 3000),
+    HandoffPolicy: HandoffPolicy(), FaultSpec: FaultSpec(at_ms=1.0),
+    SimParams: SimParams(Host("a"), Host("b"), Link("a", "b")),
+}
+
+
+def _bad_values(rule):
+    """NaN, both infinities, True, and a value past each bound of rule."""
+    yield from (float("nan"), float("inf"), float("-inf"), True)
+    if not rule.nullable:
+        yield None
+    step = 1 if rule.integer else 0.5
+    if rule.minimum is not None:
+        yield rule.minimum - step
+    if rule.above is not None:
+        yield rule.above
+    if rule.maximum is not None:
+        yield rule.maximum + step
+
+
+_RULED = [(cls, name, val) for cls in _LIBRARY_BASES
+          for name, rule in rules(cls).items() for val in _bad_values(rule)]
+
+
+@pytest.mark.parametrize("cls, name, val", _RULED, ids=[
+    f"{cls.__name__}.{name}={val!r}" for cls, name, val in _RULED])
+def test_library_callers_get_the_scenario_rules(cls, name, val):
+    with pytest.raises(ValueError) as lib:
+        dataclasses.replace(_LIBRARY_BASES[cls], **{name: val})
+
+    keys, where = (_SIM_PARAMS_HOMES[name] if cls is SimParams
+                   else _SCENARIO_HOMES[cls])
+    doc = _doc(trials=1, fault={"kind": "source_crash", "at_ms": 1.0})
+    holder = doc
+    for key in keys:
+        holder = holder[key]
+    holder[name] = val
+    path = f"{where}.{name}" if where else name
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(doc)
+    [text] = [e[len(path) + 2:] for e in err.value.errors
+              if e.startswith(f"{path}: ")]
+    assert str(lib.value) == f"{cls.__name__}.{name}: {text}"
+
+
 def _value_paths(node, prefix=()):
     """The path of every value below node, as key and index tuples."""
     items = (node.items() if isinstance(node, dict)
@@ -417,7 +499,7 @@ def test_cli_run_writes_report(tmp_path, capsys):
     assert len(rows) == 2  # one trial, two techniques
 
 
-def test_cli_run_seed_and_trials_overrides(tmp_path):
+def test_cli_run_seed_and_trials_overrides(tmp_path, capsys):
     # Poisson arrivals follow the run seed, so the override must show up
     scenario = _write_scenario(tmp_path, _doc(trials=1, workload={
         "kind": "Poisson", "arrival_rate": 40, "duration_ms": 3000}))
@@ -430,7 +512,12 @@ def test_cli_run_seed_and_trials_overrides(tmp_path):
     b = (out_b / "scenario.csv").read_bytes()
     assert a != b
     assert len(a.splitlines()) == 5  # header + 2 trials x 2 techniques
+    # a flag takes the file field's place and obeys its rule
     assert main(["run", str(scenario), "--trials", "0"]) == 1
+    assert main(["run", str(scenario), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["trials: must be >= 1, got 0",
+                                "seed: must be >= 0, got -1"]
 
 
 def test_cli_validate(tmp_path, capsys):

@@ -169,6 +169,10 @@ def test_simulation_guards():
         Simulation(_mk(trigger_ms=None))
     with pytest.raises(ValueError):
         Simulation(_mk(stream=[(1.0, b"add score 1 xxxx")]))
+    # a NaN arrival is refused when it is scheduled, not mid-run
+    with pytest.raises(SimError, match=r"non-finite time \(nan\)"):
+        Simulation(_mk(workload=None, stream=[(1.0, b"add score 1"),
+                                              (float("nan"), b"add score 1")]))
     sim = Simulation(_mk())
     sim.run()
     with pytest.raises(SimError):

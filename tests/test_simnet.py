@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -44,6 +45,14 @@ def test_schedule_at_past_refused():
     clock.run_until()
     with pytest.raises(SimError):
         clock.schedule_at(5.0, lambda: None)
+    # NaN passes a plain "not in the past" test, and an event at inf would
+    # end the run there; both are refused with the time named
+    for bad in (math.nan, math.inf):
+        with pytest.raises(SimError, match=rf"non-finite time \({bad}\)"):
+            clock.schedule_at(bad, lambda: None)
+        with pytest.raises(SimError, match=rf"non-finite time \({bad}\)"):
+            clock.schedule(bad, lambda: None)
+    assert clock.pending() == 0
 
 
 def test_cancelled_event_never_fires():

@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from migsim.broker import Message
 from migsim.service import ServiceState, handle
-from migsim.workload import (MAX_PAYLOAD_BYTES, MIN_PAYLOAD_BYTES,
-                             WorkloadSpec, generate, replay_stress_spec,
+from migsim.workload import (MAX_PAYLOAD_BYTES, MAX_STREAM_MESSAGES,
+                             MIN_PAYLOAD_BYTES, WorkloadSpec, generate, replay_stress_spec,
                              score_payload, settings_payload)
 
 
@@ -71,6 +71,14 @@ def test_workload_spec_validation():
         WorkloadSpec("Poisson", -1, 1000)
     with pytest.raises(ValueError):
         WorkloadSpec("Poisson", 1, -1)
+    # the stream cap is checked on the spec, before generate() allocates
+    with pytest.raises(ValueError, match=(
+            r"^arrival_rate \* duration_ms / 1000 must be <= 1000000, "
+            r"got 1000001\.0$")):
+        WorkloadSpec("Poisson", 1000, 1_000_001)
+    with pytest.raises(ValueError, match="must be <= 1000000, got inf"):
+        WorkloadSpec("ConstantRate", 1e300, 1e300)
+    WorkloadSpec("ConstantRate", 1000, MAX_STREAM_MESSAGES)  # at the cap
 
 
 def test_poisson_deterministic_and_sorted():
