@@ -1,23 +1,33 @@
-"""Golden contract: committed SHA-256 digests of what the simulator produces.
+"""Golden contract: committed values of what the simulator produces, in two
+tiers.
 
 test_acceptance_6 only checks that two runs agree with each other, so a change
-that moved every number the same way would still pass it. The digests below
-are fixed: any change to a report byte, an output, the final state, a
-MigrationRecord field, a mode transition, the number of simulated events or
-the number of control messages on any control queue fails here. Besides the
-shipped scenarios and a fault grid, the cells pinned are the first ten seeds
-of test_acceptance_2, with its triggers.
+that moved every number the same way would still pass it. The values below
+are fixed. Besides the shipped scenarios and a fault grid, the cells pinned
+are the first ten seeds of test_acceptance_2, with its triggers.
 
-The digests are part of the contract and change only with a deliberate
-behaviour change. `PYTHONPATH=src python tests/test_golden.py` prints the
-tables for pasting back in.
+Contract tier: SHA-256 digests of the shipped scenarios' reports and, per
+cell, of its outputs, final state, MigrationRecord fields, mode transitions
+and the number of control messages on each control queue. These are the
+contract and change only with a deliberate behaviour change.
+
+Mechanics tier: EVENTS, the exact number of simulated events each cell fires
+(SimClock.events_processed). A change that drops events which do nothing
+moves this tier and leaves the contract tier as it was; re-pin EVENTS only
+then, and never together with a contract digest.
+
+`PYTHONPATH=src python tests/test_golden.py` prints every table for pasting
+back in, the mechanics tier last as one block.
 """
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import random
 from pathlib import Path
+
+import pytest
 
 from migsim.config import load_scenario
 from migsim.harness import export_csv, run_experiment
@@ -49,142 +59,162 @@ SCENARIO_DIGESTS = {
 }
 
 GRID_DIGESTS = [
-    "c1b165e7812ef2b32b7d791d97137bff4eb58e2d4a55485b4987408008bf6d81",
-    "0fa69cdcafc799470c17a93d88e7e2e974b23812e11afab8ea6ef769b3dd5d7b",
-    "98d283e9e76608b22bed7ab35a65d3e0e6ef1beee9d38fd4c76934d7f13206c6",
-    "f614916895f7c578766c49060a3c568bdaeac5e16bd0cd47a2ffe772d0ee3cf0",
-    "eb2bec4065628d39edada32bc4723e56c6bfdae56b8b90dce5b720c381d1d459",
-    "da5043b4a87d36a5283439a079cfc79531126ed021adb2c2f6f7093c54247b4d",
-    "2c346e72d10d9b6c9c173d7b93ff0f9bad4c1eec3899a08c656cf19999b55f40",
-    "926d0af5a7487c3dc64146cf0de060f6a324edee752af635a4e8e1fcf3255d30",
-    "a16a6592b57ba42ab64c7bc72dc56620bc321e3af9f0d0c32df366a15822cd8c",
-    "1d9d4f77d98bec9e28f563a2a1498bd64cd062bd0d9f9c8dbf8c0118f2b36e9d",
-    "0e8882bf78ce46f8eef0a937dbf47d9ebbbf7c1db6cd0f785497b0db49db712a",
-    "b9b5a6d4e29276c8cbf45d47a46aeb5ea51d34c25fcbebd5a965b682519529fe",
-    "3e58e6a4fec1fd425f66ff0b0993905ddae82efa45415c8176489de3845c8c6a",
-    "a2b5bff857ca1ea02d97a568da04be64cbc016030fd54e1f8005978f03b82257",
-    "6b92dc6ee0063f8a16ab0e5c809e99830f8627898093de378b735274e8f75265",
-    "98d283e9e76608b22bed7ab35a65d3e0e6ef1beee9d38fd4c76934d7f13206c6",
-    "bfd6ade082bcb39195b977b8d27ca39f5fede48d4d3f8b36c10aa69c5f956c99",
-    "a63f4c7d5c51b504abab2f978e27f6876f927253ca60995e8191a389df42f7ad",
-    "c2bd8d068b19765b6cab3a2244d7ee2c606318720721c3b686c1d8b33333d7a9",
-    "51613e08b4017ce5ad9cbc0aa4fd2f0a8b933b0fae2f7eb00e5e6b059633d67f",
-    "38fe607be08d5cb904ec0cecda0e7c2c95254c48c4fff1c8b0cfaa28a6a0d19f",
-    "7ee2eaccca14a741c97012ec245c642f8c219cf9e98694e04042f9f3b52f38af",
-    "cfa40ce00b8010daa087743cc11ca1a45bf303fd0d0faebb097eb904ab78e65a",
-    "2547f06a94a41e11997380b59c1331e372b0ec7f1fcfd30d958aca525c5a685c",
-    "01b5b74a9582c323cf942360246f9b95f041033fcba016d26c66385752cf7984",
-    "7ccb6f9458d0320874191c7cdc2b21656f09d38b1f3eafc28048ddfca0eb2993",
-    "74465a4bfab5b969d47fc02922a0a72a54ff7a66f674cb02364403fce0e10b6b",
-    "849f480b204935ff9293510c0220b51d3edc355c366900fee28842b0641b5b59",
-    "09e267188e2c390a3a10ccb739f1effc6d8e24a2666afba83bd3e53e977172c7",
-    "29cf63b6a131d66ddfe623c08dd6e7c9a288f5b0097c990f03d2aa8306fadf7b",
-    "7b0b86102eba051f00cc90aea71dc56bf501f9f92c02986128fed4658b30f4bc",
-    "48aaa4cb7e3da25371ae3b238840f2e5b3bb3dda8318bcdc2eb626ab1d8cd160",
-    "a63f4c7d5c51b504abab2f978e27f6876f927253ca60995e8191a389df42f7ad",
-    "c7344290803be013112359d22c9cdf33eb35a6b66402c98420efcf20c0153b7d",
-    "b180b83f7b203ddae6c945edad5386c4bb6e48c678ac55b2f257e221097234db",
-    "9412e197345e9e011ff1bde8c883b136cbc5113472b286d2989ab1c89d60d47b",
-    "925b05742724d9bd8674fe8785b906ebd325c169cdfe3cdfd18a1a42cd0ab113",
-    "94e61fa0f98a8658effc60cdba090740076395ea5c0777bc49a54df16abbb604",
-    "664b75abe79112a8a17f0863160e397f5e5462f0f5859c0c7bca62ce3ca1bee4",
-    "275f79c70c947743acb0aaacc10fb2fb17fc0c935b44646eba2b46dab78ef313",
-    "e27babeaacdc477818a90bff06b3f2e243fcc932bbeb313ca6b9b39f4e5f283f",
-    "bc0093f23157eccbb0634f26d1d19262daddedddf6cdf1563f4140401d4718c4",
-    "2ac678fd1033513caa5ea154ac5b29c9bd0837f67ecb27eb5308bda5caf3687a",
-    "aac0d0355c6deb2618df92de01959caf201b5c0d2df1b66b69cf8cf153aacfbc",
-    "6e0f100ad218100e500e26bf0c05ebd7140ad7801033d6fef73b95f3ecd9c1c9",
-    "3e24e0d5a16d3a0ec4c1f40896e1b7ea647c677e193faac4478047353d92c53c",
-    "3ba1f00a12d32dfdf5b8acf1a723897dd9d1fa219a7db4781a1299b9daf4a4db",
-    "0fa69cdcafc799470c17a93d88e7e2e974b23812e11afab8ea6ef769b3dd5d7b",
-    "a1bc34be0f0ccec1666537d7b30eefd6a85ae4fb0b460e2215e2eed8de14ac2b",
-    "4d6627ad6f51bbd74bd7af9bf48fca7a467dcd3d354807d80aa540f0a5b14ed6",
-    "8d67ecfcd0030bf4b59fdbc93ecd2b2d217e927ac491a2d4cf9094975675cfb0",
-    "afaf4c887d833a6f623c646d6b03aa0130b47fa47fcc64442085acd2530cf998",
-    "a4d0efa2d3d6f9674b45c754e041ae39805a9d56a1536615bcf8d81196d77bf5",
-    "90dbd857406acf0085bdb20302ac0609864cebd927624632b6982d5d770dbd82",
-    "3fb2410eea9c7f233e73ff2f4384bcc2fa251e0fe261ac466520d3c3d2f1e969",
-    "fe47ef1d1df2ed102e441d25311986ced1ecbd3f751c9541198693c042c6acf9",
-    "7df56591c0b89589ae2e2563d64b57c2b1b46a3eb0d96e18c392d3f8b93269b8",
-    "45225b98402676bef8bfcff2b45832c5b2f75f6127c3365579c321effcc9a597",
-    "7399fc91dd49b8f5508bc731412239db44fe5b0919b794fd737c925569e60475",
-    "19f6f779de5e3f3040b28e4282d684934efd05109ed97f0b3c27052da10ede4f",
-    "9c85d661088a0d613364befa069f37f8a20c4eea25f5d3117e0d7a3063a6afd6",
-    "b3b261de6fa8c9ea1e3eaa9dc522e88bb81074c76739c683b87b1c27e31f2d69",
-    "ade04da9083a69295ff4483b0673f397d79c124e1ea8fffe8a67d55198095251",
-    "934f1db4faae594502829a972bccf03dbefc2114a4e8a80cc1a1611d0d42efad",
-    "99a57a7513a88a05a9278506585efca388eb15e54c9180e4aaddc5157743448b",
-    "88ca1557ab61068f0c8f5ac9ed702cebda973be28af655c8d8c9e45da00a1f87",
-    "99fb90afadc93a5e90c3992ea43282b6dbf601bcf474ed5b2482530bcffd6b32",
-    "7297bdbd2ce0af4a646c219f5e6c56c9dfefaef2b3c0081cad643230c727ba27",
-    "0667b8a8cc0b6a2d756fc630c9368cc2545982acf35bb916dd01b66971baf763",
-    "5fe18e5f72ab68ece2d24a23ba5985b1512b9320b83d08f90b206f730c5832a5",
-    "934f1db4faae594502829a972bccf03dbefc2114a4e8a80cc1a1611d0d42efad",
-    "934f1db4faae594502829a972bccf03dbefc2114a4e8a80cc1a1611d0d42efad",
-    "934f1db4faae594502829a972bccf03dbefc2114a4e8a80cc1a1611d0d42efad",
-    "aa95f1da34fe589ef42c8e907389d2b47947edf5e8e892f102e516df16278317",
-    "89e6246eb83b3e9a845e908ecaa96bbd5e7e8cf6e1a3b2f5551f8a766edaf6db",
-    "84ae4b7ef466619baf2ed7760528144313acb1a318d43dd01ea049941a768411",
-    "e858f9d3bf4cebef8d45a3fbcaccf4cca08d20b7320ea8d7e701fa58daabcd32",
-    "2429180b7939bf3deee1e5724992c4db9fb8c4e9b31c0b00fcd8052b23c874bf",
-    "e21944422e2c2527bcc80d6f1dab085e6757fd3a39a637893df5b7c1d2de0fd8",
-    "df123ad2d64322537f49491f13628d084e6361048b6bfbbfb75ff9bdcc041c71",
-    "fa7eebd551d76ac6e565e7f9416b399ff01c0d7e08c32ebb100e3c361860053c",
-    "63b5d4846be8cf75a208a1b5386f8d97eb2b45394b13371525d83e06d3ed4a68",
-    "84ae4b7ef466619baf2ed7760528144313acb1a318d43dd01ea049941a768411",
-    "84ae4b7ef466619baf2ed7760528144313acb1a318d43dd01ea049941a768411",
-    "84ae4b7ef466619baf2ed7760528144313acb1a318d43dd01ea049941a768411",
-    "7659b2861db16d42650ab08f0b17e5e59f0fd9082cda55135b7c23759017ec0a",
-    "89e6246eb83b3e9a845e908ecaa96bbd5e7e8cf6e1a3b2f5551f8a766edaf6db",
-    "5283168bc51acf14696e6e6b5479f260e64158792a75a8bf3c2c64f5b6ee557c",
-    "3071dd1f94850adfff53132a4266f8ae30ab5c9c0d72158deff2056724cb1664",
-    "99e5d316c57999793321ea289cddfbb36e4d87dbca90b96480a24a63b79c4987",
-    "2ecdf9a0067b6dfc1c9dde275ad7435c44db75ac47084f7170ff197d031794d4",
-    "4740a23a6bf6e419fb9334be01b737b726b85614ccbb627c99f9c76ce050e893",
-    "4fb6c4a7049da809fa20a90e627fa75491f8b5806fa23fa5cf78bb0356fb847a",
-    "16e18dbc194b1396f15ce2ec782818c877371a76e42be932b89a0077d564c097",
-    "5283168bc51acf14696e6e6b5479f260e64158792a75a8bf3c2c64f5b6ee557c",
-    "5283168bc51acf14696e6e6b5479f260e64158792a75a8bf3c2c64f5b6ee557c",
-    "5283168bc51acf14696e6e6b5479f260e64158792a75a8bf3c2c64f5b6ee557c",
-    "5283168bc51acf14696e6e6b5479f260e64158792a75a8bf3c2c64f5b6ee557c",
-    "e8a11fe729a4e307c039293b6d331ab10fed756dffa579e5c049a9923731a8ea",
-    "ade04da9083a69295ff4483b0673f397d79c124e1ea8fffe8a67d55198095251",
-    "b8fffe951059da9deb9194c82952f63fa945218a2fe9f6226da1e3b92dcb727c",
-    "8f811ca9fb706d3a8aff710d7999e8e16806b3e4d5e637debd67b92c0e54993c",
-    "6e55920964d63eacd5c8daa23dca5219da87c6fc06fb804d34fd9e650d1a0012",
-    "4b1307e1eee74d2d0c757d01ac3e302dcb0163c08250b4d353beb180e33df829",
-    "cd7ace5dd8f04ec8f652554a5a5e12d9faa8c4c9707e809d74ac97be422ba99e",
-    "e3d495efd0380ced2011962aa3e08ee394f0c6a8ec6be3bda592db931c09fc70",
-    "17acf4f91df4fe8b461d67f520c946e69f7fffbfc9661d96f126f4b035eb0ed5",
-    "b8fffe951059da9deb9194c82952f63fa945218a2fe9f6226da1e3b92dcb727c",
-    "b8fffe951059da9deb9194c82952f63fa945218a2fe9f6226da1e3b92dcb727c",
-    "b8fffe951059da9deb9194c82952f63fa945218a2fe9f6226da1e3b92dcb727c",
-    "b8fffe951059da9deb9194c82952f63fa945218a2fe9f6226da1e3b92dcb727c",
+    "ffe7560b80b3bb71f0c6c5fe52f550342f39229add1664a10270e409e9af329b",
+    "681e89bd1d5720d21a750c0572295f0b50ba5e38f757735e474d254978393c5e",
+    "ffe7560b80b3bb71f0c6c5fe52f550342f39229add1664a10270e409e9af329b",
+    "1bc4347aec874b0d0b92f3a90b75ab6961a3b33e46884a1267082a8e6c265792",
+    "c45ee157614f5ef03ffd5da0d9937c122e4b7df0f34ae90be70253b93f9350f0",
+    "e4e3ca29c8937ead3611229b29f1c4197700f85bd194131e4a47242bcf3cc433",
+    "630ea7fc10e98b60d5eae3980c1d74544e5d611ba84ae88294cf9c22a6a73e6f",
+    "229153315fe9fb3413f30cd3e3e5a4ac41f427f611be37dad55b3932ed9b4f61",
+    "ccad58ef02a9a704491df29bbd9d41224e724f1a922d6dcb10911f6dbfcc0a9e",
+    "bcd34ca222a864403edf17bf207ca45d8d841d21062e9445ba56b51df4ce7251",
+    "1bdaf73dbc7fd069e4e99b1c4d54ca68cac98266686db27a465cf805877156f6",
+    "c482e5e527d357f9b4d1e8d8d9fb624449ac5a863cce88789acd71445057a200",
+    "728482df6d7e40f47e3f910f085621d881867b293fa845b4e23444a6dca10c34",
+    "e532533a717e37aad56d1795098c7a87c70db3adde0989fc8a4445d7cd3c120b",
+    "ef21db8540f85c38631b5abf0b979aadfff0f6172f6b9bad0cb75e41924286d0",
+    "ffe7560b80b3bb71f0c6c5fe52f550342f39229add1664a10270e409e9af329b",
+    "77abc737c937d49dab2fec6d4fb53c2d7d3f9fc40205777e69c2e77e335895c2",
+    "8fff58257a12dd2a9c27acd98fda9666c695e12750e8eed35adffe638fe95a76",
+    "d2eae5b43ad5c99c95fc6605befc8690c7333367606d892d82386ff404b6577a",
+    "860fa99f31fa7e6ac112742323b31529e8f1cd0f63f92bb829683113dea208da",
+    "bfa772160d3a996e3b4a3f26cdfaabd6594c7537de24ede441ad5a7fa50956a9",
+    "fe991b65cc800744f2c56cca7e9f95dac38040c5e0475f2d1aab75f883429146",
+    "a21b92e3a9502c5e8774f37607875913a813c4e992ed564bac0955af48aa4a3e",
+    "43f0106b61e4e6d95178cf8771631f4ca1c862caa93ad404ef0b9b0e65ec87bb",
+    "e5b07c8968f8fc0a316ec4b1c253f743e0768ff47956e2b2bbcd731ca652a9f5",
+    "9797d09a7ef308fecd5754854b5924090866c550fadd3780093461d0b572bb07",
+    "9f9ee2f53c7a9b79d2a0a056200155343c9908cf3c381b4288fc84025e854114",
+    "5ea5399b5f1bb58302bfb85df11c82e8c0ad20dca96ab15250172a2fd8f9258f",
+    "5d685d14144e965da503be09e9c22e10f3ceb58a6d04dc0eb2ff4a34c9c539d8",
+    "16b8702a78311b6ea836d1b38094540e3371b68e1336c2439ccde24d09e8b86a",
+    "e617ac5d7481f49be9bb5a7108bca450c1ee24945021bcdc17f8dbdff5e1a927",
+    "3d49d381e8587e9a5987cb08695a460c35c64190bf23b9ce2cc394e30065d1cf",
+    "8fff58257a12dd2a9c27acd98fda9666c695e12750e8eed35adffe638fe95a76",
+    "b17bb588b720a3be26848a717f3156534873dc7a426fc45b1cf0a5cd5d480ce5",
+    "dbeae48b65385cf07973b57da39b653654dad7d5d15ceed4b516330a2d216124",
+    "71804a63a812318ea1154f040d402ea9a6ca00cdf78b16b85d41830d11696850",
+    "6333c0940e09b9115c70c056ea4a0c36f9131b3822de347d51bbcdc0032a2da0",
+    "60f256890dec74f57c99cd5a19898d49e30387200dd80e983e807b0f95f15fe0",
+    "2c763c880e7934d25d5ceb41af5a5b56092f4ce9b7b30aa25cf550d04e8bd661",
+    "abf4e97ddd5bf99ad9c2c9a23b98d45f8f9b5049cd4c82c1acb37662726a84fd",
+    "7e58e6cf421aeb607f4e18b88371f59c8ff51cc672f24a2daec6842dcb3e5d06",
+    "bf688fee91928a279a7067d6bcf17199fff0e3ff2894a8f2df41d647cebb65fb",
+    "1e44b5805e5634c2b1e993951134093644b4f29c5749876eaf5e300cf9a6753c",
+    "86331b6bf3fb843a7f8fd489f20c162573f51ab4acffc337be05ac65d98034ad",
+    "628f9fcbf703ff45a8e9b702c7dc4af640a1842a2f7333e51d280fe837c7c273",
+    "4aa39acc9df94b2188e8967fa1f306ed1dc93f6032bb18b8122dd33e272320c2",
+    "87cb52fc2164d57fbddc18803a68f37607755ec98bf242c336508ae54e63eb8a",
+    "681e89bd1d5720d21a750c0572295f0b50ba5e38f757735e474d254978393c5e",
+    "eb925cde110fbf338307a234cd89c0f9617cb2b6ac660131182864127090ce86",
+    "9e1551c7d2f7d36787acd3d898bebbb90fbca52b0f579b0188dddf48a47b7de4",
+    "5b2d9e7e3eb508f52aacf4ecf16242ff9d7c1c7831610e71fd03a4e74e48db96",
+    "8459750cf9d98f6f44dd5df463521a3ea75a3205a1d58475c0bd715834494d57",
+    "96ac119ae7848fa1bf531f84163a53f5fdc7a88057b4e30e0f487f4cae34cd32",
+    "8006fc51265adb4ffb732a344a83082fe73fd47884930328447df14440cf5a7e",
+    "77775a2295bc1c6b4248d966b7773a2380a8ff1ae82cf06b430b3683784169a4",
+    "a4cfff579420624a3369ea0a65d748b3797536873699fbc18d23d6a32bb1f6ca",
+    "e98e8211194d8205120b9039f3bf1411baceb7217887b4da91987c3c83be79bf",
+    "27e03e42fb0b0e7de127d95aa9525f131b8bf245417042fcf92c7f74c70f060a",
+    "332bb63a829fb9d357f87b82f78225fe0e6114c0c993981c28254399280ed514",
+    "498fb1604447008d769bc563734869f852a84907f2ac9c79770ffb866dfa5bec",
+    "85e57b6de74bfc155571750c13ebe0cd5a4f6c4fe1f3b01c07f570e202006f2f",
+    "8ae3cac5bafe4cad94485044cf720f5720decac93d5707855e37827db1cee6cb",
+    "f76691affac6600f65fbfd06a6c66b6f5f784a5c4844d92f79f7517912ccad0b",
+    "8ae3cac5bafe4cad94485044cf720f5720decac93d5707855e37827db1cee6cb",
+    "97f9e9a9ce99b5d5683cc97d368fe7df7253effad1b528e1df5d6a2f186d01c5",
+    "bb195f95395d80d72e07814a978a651fe30065f560246f429113490f68b44671",
+    "52731a2d3912da95768cc29c19026fcb2c56bff2f24edcfcb376eb6f128b55bf",
+    "10905eb61f527ea0902cda44c81b28499381a9a360486347a8a9b8f213d18bb4",
+    "5f2a508665b5ef66cbfcf807dc310cb895b4f5a2b33296e7a41953b6fee8b9ef",
+    "b188ebfa806c5c6f6e71e8fea4811dd6fa0c2a2011405bc97206bf337df9db3c",
+    "8ae3cac5bafe4cad94485044cf720f5720decac93d5707855e37827db1cee6cb",
+    "8ae3cac5bafe4cad94485044cf720f5720decac93d5707855e37827db1cee6cb",
+    "8ae3cac5bafe4cad94485044cf720f5720decac93d5707855e37827db1cee6cb",
+    "a51600e39a612ecb67b7075d787339147b3b5e9a8612d8302ae28d606e8f5f6b",
+    "99292edc8de13467d18b85e17786cf31bc5a6be61dd5941f3e3ff4fc5815c310",
+    "a51600e39a612ecb67b7075d787339147b3b5e9a8612d8302ae28d606e8f5f6b",
+    "30c9c5eabe6080a6dce646ba130728a1c6fd99efaa63abad2580b466d739e9f9",
+    "d8b3f54546bbcd23cfdce78c70d2070e9da351fb15ded711a080d43aaeb3dac2",
+    "0376167e2ec10a4021cd316bd1d5df99a9b7cf8b8662b827408d2f4d18da5ee0",
+    "4cbbf9fde3ae23649a6bea3e5f4718b2b8fd42d6dc507d695cfb9931068de595",
+    "fad22ca15bd4014ba74d7ccda31e993466573a370480ef51bfd9eb6dab047e0a",
+    "19edd4d1c2a4b19a8df44ab303fbe59721942c119232031f44e7821a7b3a3573",
+    "a51600e39a612ecb67b7075d787339147b3b5e9a8612d8302ae28d606e8f5f6b",
+    "a51600e39a612ecb67b7075d787339147b3b5e9a8612d8302ae28d606e8f5f6b",
+    "a51600e39a612ecb67b7075d787339147b3b5e9a8612d8302ae28d606e8f5f6b",
+    "e1c5b8de2cbcdc82bed48a38129a4d7ca24b7d284af8ed86ab09894a6c92e418",
+    "99292edc8de13467d18b85e17786cf31bc5a6be61dd5941f3e3ff4fc5815c310",
+    "e1c5b8de2cbcdc82bed48a38129a4d7ca24b7d284af8ed86ab09894a6c92e418",
+    "3e48f99bac73bd5b1bc29bc1642594be5abde9c48c2f26453bb041af02e8d749",
+    "c10b9cd7cb7124076113c4d22bcff9e1e2a9ceab4fa1aa9a0a122ffdaee832bd",
+    "7f61806e1bc2eab3c97d0ee4110f1328b332d5fb49fe06d960120808c5ebacfc",
+    "a9576476282e77928ad42152496270fddaa10f931e2702c44ab2bc05b62a54fc",
+    "d9e571f56917e65088cf372c416527b84ded31df3ae4f253bab25f18314dda1e",
+    "d87116b21e32a39c8e5b8596d9488821825e18764af0f228d4f0b436ddffb78a",
+    "e1c5b8de2cbcdc82bed48a38129a4d7ca24b7d284af8ed86ab09894a6c92e418",
+    "e1c5b8de2cbcdc82bed48a38129a4d7ca24b7d284af8ed86ab09894a6c92e418",
+    "e1c5b8de2cbcdc82bed48a38129a4d7ca24b7d284af8ed86ab09894a6c92e418",
+    "e1c5b8de2cbcdc82bed48a38129a4d7ca24b7d284af8ed86ab09894a6c92e418",
+    "9fcf6dd87f978f93b21cf0a76081c6d8f5b3b7923bbe32de9acc109410cd4c12",
+    "f76691affac6600f65fbfd06a6c66b6f5f784a5c4844d92f79f7517912ccad0b",
+    "9fcf6dd87f978f93b21cf0a76081c6d8f5b3b7923bbe32de9acc109410cd4c12",
+    "f3818a29b7a8140465d1d6b67dec2e95c2f7b9ec6153b525ec127f44c940bb4d",
+    "4afa10104f940a3f0ca4236fcc4a2387cf441514a68286f265982b8ee85d6e7a",
+    "5a05c24e7fb3d0f110117d5e0ec3347c15cb33f9a9e0420aca8cbf1f29b632c7",
+    "70231c6f301f6f24ef5fcb9919e54f449fc6b07b4b65cd201b6606661f787569",
+    "023b1cdd8663ef56dbb30610ea9ad656408a416da2bc3bf24a43d8a620812738",
+    "39d4510bafeef73ccfaadf8bdec4786c73f201b6fbe12d7ecb5278259d48b361",
+    "9fcf6dd87f978f93b21cf0a76081c6d8f5b3b7923bbe32de9acc109410cd4c12",
+    "9fcf6dd87f978f93b21cf0a76081c6d8f5b3b7923bbe32de9acc109410cd4c12",
+    "9fcf6dd87f978f93b21cf0a76081c6d8f5b3b7923bbe32de9acc109410cd4c12",
+    "9fcf6dd87f978f93b21cf0a76081c6d8f5b3b7923bbe32de9acc109410cd4c12",
 ]
-
 
 ACCEPTANCE2_DIGESTS = [
-    "5d27abeb44a65ac635037c883c5ae23bf3da67a0c8ce5fe039ef5286d3b53de9",
-    "4a4bbc223a976ab9a2baae4e124f6f74a0f890bb4bec80fcb9e662ed78850897",
-    "23e430232bf07cc5f593f011d2d7dd13e84fab3e6e6f7d4d65ec5ac61a4594c7",
-    "9df298a48556cb875648efea21cc926b3a8f4d37df742321ecb5bd1348e5245a",
-    "12a1c4b8f86f5d516ed97a3404726083990a1a1ef4114ae521b9f41246a2f839",
-    "70191102614af457f20111f8070ef3d8b4ba1b387e63cf3b675df80506a0268d",
-    "3d7c61030bc11a5865508bf2ec7b39e2354b17db3484de5eccf1613a9ad0df08",
-    "b80b5804cc6e45b24bab23d7d4c8b141e14f9ae75b63e98133349a3efcce97a5",
-    "66892cdf0638187c732e2dfe042427a6538a1ab01495bb3900a2042e2644d86b",
-    "734b606ba70d92805c74db4b63ec92af000b7b2a425c52743ec10a389efa7ab8",
-    "2423107d16b77cd846a82aa5bb5f04de708141799e389c03c59e3a8311a1ea1d",
-    "9cb9aa4e7297b743275a4583222cd07573da04851fca375eefba4f5d698f422e",
-    "36be5e2b8cffbcec71a1121a128f0531129afcd45c877fd3a76388c9c6c57395",
-    "29853d382d0b8654cc24bf25643fdb698e01c7cc9063130662dc88f0b0cdb974",
-    "465a4f2f349497e82424fb17b2c5c1a7f029365fc650e8f35685fb0ae6046058",
-    "278ef43ff3210b07d15c655f085af63a343fd2b49bbaf7c2b0913690cf67e8d3",
-    "db5a80ed40f1aba043c68f8ec7ebc812bc0fbf40b8b63b7c0a45ffa64ec12ed5",
-    "d2cd90eec955a96f3ccfef3afa66fac6d757c7757f4f433140519d944bbcf9e4",
-    "5b2dd86f5bb4d48b9f53dbe9e097776379a993186d298058ec1f2cd658990ecb",
-    "d2645f06e7c9dd732b247bf2d39ba723f5fb45e6e2466a11d1c87b90af1d3337",
+    "18ddb4fe1bb2600a75706caed34d70eae38502844a3385292ba2367dec3142f4",
+    "4f5d28294f1760d2f26b2b8b6f26367d573d37c265ce6890045d3ad31e54857a",
+    "31d93190c9d3c2b4ad44eeabcbbed4c1ff3475fbc72be9aba72b4c0edc8e790f",
+    "d6ec9c34a98bdcfc54c25a25da51a038616f3998df50954673b9552f97dba16d",
+    "82a4095ded4f58f5055c404e59dc2b101a4ee7f0c460e0149c6b0007ea23ca54",
+    "bc6515e02cc7925ea4c852f2aa9eb00adb89e5a1dc1650bbe714a469b2ab4a6a",
+    "fbe3887dfc65df901c48a28889b689981a2fd99909ea4bfabc6131e259b3f0b6",
+    "bdd1a853ad0f16036a1bc7edf0036d61a7e2c24a1aaf7f2bc7e1e3dbd51ea27d",
+    "f8add503904c164f42067c4197dcdb47913a65dccc74141380b0abc84eafaebb",
+    "26a69742b91ded3a53ce46822b7bc18020f7eb13bb50305511ad6d23c610cbb5",
+    "3ab0e1f805c87fbca63fea350dd63a850db50c34b9a9339ca49ff75d408864cb",
+    "9ff416514d88351ff692b691087fbb239f8219c73cba70dbb7f50a5728a7266e",
+    "4c479694727261ee5c3a3118b5c889c171ce5a194cc706a4440b87e8c4600767",
+    "000668e4f9d4610448ceb106e82e9563932fac80f3399eb4b39166f7cefadfd5",
+    "1548556ca125e6ae6226c24649961dc9e2eae28492c58c5d356a92841ce60b17",
+    "64e58e1b55b8ab686dcd6e1461c273b9f1658488eac85a6f85ba8b8c96747891",
+    "af55d11f4df979da41d850c4eb86b5dd1d75de78c8c86557b4c6cb70526477da",
+    "679759fa324b736e251919ac48b9701ae5144335300d97f1d2c82efcf18a5618",
+    "11dba081e99db4bdf738571ef352e05301b3cde8d788c7415f47d4d6d3bc9f6f",
+    "ec5db5350294bcd1ebcc35be0b852ae876a0588a9fa095871a08a46a6523cc82",
 ]
+
+EVENTS = {
+    "grid": [
+        1141, 494, 1142, 522, 522, 523, 523, 524, 524, 527,
+        531, 537, 541, 545, 742, 1142, 1030, 436, 680, 456,
+        456, 457, 457, 458, 458, 461, 463, 467, 469, 473,
+        565, 1184, 436, 980, 456, 456, 457, 457, 458, 458,
+        461, 463, 469, 471, 473, 717, 1082, 494, 854, 522,
+        522, 523, 523, 524, 524, 527, 531, 537, 541, 545,
+        689, 932, 494, 933, 522, 522, 523, 523, 525, 525,
+        933, 933, 933, 932, 436, 933, 456, 456, 457, 457,
+        459, 459, 933, 933, 933, 932, 436, 933, 456, 456,
+        457, 457, 459, 459, 933, 933, 933, 933, 932, 494,
+        933, 522, 522, 523, 523, 525, 525, 933, 933, 933,
+        933,
+    ],
+    "acceptance2": [
+        1461, 1450, 1521, 1507, 1504, 1483, 1567, 1552, 1398, 1387,
+        1516, 1501, 1478, 1465, 1598, 1585, 1453, 1438, 1550, 1531,
+    ],
+}
 
 
 def _params(technique, variant, fault=None) -> SimParams:
@@ -253,7 +283,8 @@ def _canon(x):
     return x
 
 
-def cell_digest(params: SimParams) -> tuple[str, Outcome]:
+def run_cell(params: SimParams) -> tuple[str, Outcome, int]:
+    """(contract digest, outcome, events fired) of one cell."""
     s = Simulation(params)
     res = s.run()
     m = s.manager
@@ -261,8 +292,20 @@ def cell_digest(params: SimParams) -> tuple[str, Outcome]:
                 if s.broker.has_queue(q) else None
                 for q in (m.q_mgr, m.q_src, m.q_tgt))
     blob = repr((_canon(res.outputs), res.final_state, _canon(res.record),
-                 _canon(res.mode_log), s.clock.events_processed, ctl))
-    return hashlib.sha256(blob.encode()).hexdigest(), res.record.outcome
+                 _canon(res.mode_log), ctl))
+    return (hashlib.sha256(blob.encode()).hexdigest(), res.record.outcome,
+            s.clock.events_processed)
+
+
+CELL_SETS = {"grid": grid, "acceptance2": acceptance2_cells}
+
+
+@functools.cache
+def pinned(kind: str) -> tuple[tuple[str, str, Outcome, int], ...]:
+    """(label, contract digest, outcome, events) for every cell of a set,
+    run once per test session."""
+    return tuple((label, *run_cell(params))
+                 for label, params in CELL_SETS[kind]())
 
 
 def scenario_digest(path: Path, tmp_dir: Path) -> str:
@@ -278,26 +321,42 @@ def test_shipped_scenario_reports_match_golden(tmp_path):
 
 
 def test_fault_grid_matches_golden():
-    cells = list(grid())
+    cells = pinned("grid")
     assert len(cells) == len(GRID_DIGESTS)
-    outcomes = set()
-    mismatched = []
-    for (label, params), want in zip(cells, GRID_DIGESTS):
-        digest, outcome = cell_digest(params)
-        outcomes.add(outcome)
-        if digest != want:
-            mismatched.append(label)
+    mismatched = [label for (label, digest, _, _), want
+                  in zip(cells, GRID_DIGESTS) if digest != want]
     assert mismatched == []
-    assert outcomes == set(Outcome)
+    assert {outcome for _, _, outcome, _ in cells} == set(Outcome)
 
 
 def test_acceptance2_cells_match_golden():
-    cells = list(acceptance2_cells())
+    cells = pinned("acceptance2")
     assert len(cells) == len(ACCEPTANCE2_DIGESTS) == 20
-    mismatched = [label for (label, params), want
+    mismatched = [label for (label, digest, outcome, _), want
                   in zip(cells, ACCEPTANCE2_DIGESTS)
-                  if cell_digest(params) != (want, Outcome.COMPLETED)]
+                  if (digest, outcome) != (want, Outcome.COMPLETED)]
     assert mismatched == []
+
+
+@pytest.mark.parametrize("kind", sorted(CELL_SETS))
+def test_event_counts_match_golden(kind):
+    cells = pinned(kind)
+    assert len(cells) == len(EVENTS[kind])
+    moved = [(label, want, events) for (label, _, _, events), want
+             in zip(cells, EVENTS[kind]) if events != want]
+    assert moved == []
+
+
+def _print_events(per_line: int = 10) -> None:
+    print("EVENTS = {")
+    for kind in CELL_SETS:
+        counts = [events for *_, events in pinned(kind)]
+        print(f'    "{kind}": [')
+        for i in range(0, len(counts), per_line):
+            print("        " + " ".join(f"{n},"
+                                        for n in counts[i:i + per_line]))
+        print("    ],")
+    print("}")
 
 
 if __name__ == "__main__":
@@ -308,9 +367,10 @@ if __name__ == "__main__":
         for p in sorted(SCENARIO_DIR.glob("*.json")):
             print(f'    "{p.name}": "{scenario_digest(p, Path(tmp))}",')
         print("}\n\nGRID_DIGESTS = [")
-        for _label, params in grid():
-            print(f'    "{cell_digest(params)[0]}",')
+        for _label, digest, _, _ in pinned("grid"):
+            print(f'    "{digest}",')
         print("]\n\nACCEPTANCE2_DIGESTS = [")
-        for _label, params in acceptance2_cells():
-            print(f'    "{cell_digest(params)[0]}",')
-        print("]")
+        for _label, digest, _, _ in pinned("acceptance2"):
+            print(f'    "{digest}",')
+        print("]\n")
+        _print_events()
