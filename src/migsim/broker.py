@@ -5,11 +5,15 @@ Delivery is at-least-once: a message leaves the buffer only when acked, so a
 consumer that goes away mid-flight sees the same message again after it (or a
 successor) subscribes. Each queue numbers its messages 1, 2, 3, ... in publish
 order; a mirrored copy keeps the id it was assigned on the source queue.
+
+A consumer is woken when it subscribes to a queue that holds messages and
+when a publish reaches its queue while nothing is in flight. An ack wakes
+nobody: the consumer that acked polls again itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .simnet import SimClock
 
@@ -42,8 +46,9 @@ class BadAck(BrokerError):
     pass
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
+    """An immutable delivered message; a tuple, so it is cheap to build."""
+
     id: int
     topic: str
     payload: bytes
@@ -79,6 +84,11 @@ class Queue:
         for msg in self._messages.values():
             return msg
         return None
+
+    def _fire_wake(self) -> None:
+        self._wake_pending = False
+        if self.subscriber is not None and self._wake is not None:
+            self._wake(self.name)
 
 
 class Broker:
@@ -125,7 +135,10 @@ class Broker:
     def publish(self, name: str, payload: bytes) -> int:
         """Append payload to the queue, propagate to an active mirror, and
         wake any idle subscriber. Returns the assigned id."""
-        q = self.queue(name)
+        try:
+            q = self._queues[name]
+        except KeyError:
+            q = self.queue(name)
         msg = Message(q.next_id, name, bytes(payload), self.clock.now)
         q._messages[msg.id] = msg
         q.next_id += 1
@@ -178,9 +191,10 @@ class Broker:
     def subscribe(self, name: str, consumer: str, on_wake=None) -> None:
         """Attach the single consumer of a queue.
 
-        Delivery resumes at the oldest unacknowledged message. on_wake fires
-        (via a scheduled event) whenever the queue has something deliverable
-        and nothing is in flight.
+        Delivery resumes at the oldest unacknowledged message. on_wake(name)
+        fires, via a scheduled event, on subscribing to a non-empty queue and
+        on a publish while nothing is in flight. It does not fire after an
+        ack: the consumer polls again once it has acked.
         """
         q = self.queue(name)
         if q.subscriber is not None:
@@ -206,14 +220,7 @@ class Broker:
                 or q.inflight is not None or not q._messages):
             return
         q._wake_pending = True
-        name = q.name
-
-        def fire():
-            q._wake_pending = False
-            if q.subscriber is not None and q._wake is not None:
-                q._wake(name)
-
-        self.clock.schedule(self.delivery_latency_ms, fire)
+        self.clock.schedule(self.delivery_latency_ms, q._fire_wake)
 
     # -- consumption -------------------------------------------------------
 
@@ -229,7 +236,10 @@ class Broker:
     def poll(self, name: str, consumer: str) -> Message | None:
         """Take the next message for delivery. At most one delivery may be
         outstanding per queue; it stays in the buffer until acked."""
-        q = self.queue(name)
+        try:
+            q = self._queues[name]
+        except KeyError:
+            q = self.queue(name)
         if q.subscriber != consumer:
             raise NotSubscribed(f"{consumer!r} is not the consumer of {name!r}")
         if q.inflight is not None:
@@ -241,12 +251,15 @@ class Broker:
         return msg
 
     def ack(self, name: str, consumer: str, message_id: int) -> None:
-        """Confirm the in-flight delivery; the message leaves the buffer."""
-        q = self.queue(name)
+        """Confirm the in-flight delivery; the message leaves the buffer.
+        Nothing is woken: the consumer polls again after its ack."""
+        try:
+            q = self._queues[name]
+        except KeyError:
+            q = self.queue(name)
         if q.subscriber != consumer:
             raise NotSubscribed(f"{consumer!r} is not the consumer of {name!r}")
         if q.inflight != message_id or message_id not in q._messages:
             raise BadAck(f"message {message_id} is not in flight on {name!r}")
         del q._messages[message_id]
         q.inflight = None
-        self._notify(q)

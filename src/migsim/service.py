@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 
 from .broker import Broker, Message
 from .simnet import SimClock
@@ -404,28 +405,34 @@ class ServiceInstance:
         # detached (Paused, Stopped), busy, or a frozen replay: nothing to do
         if self._pending is not None or self._queue is None or self._frozen:
             return
-        nxt = self.broker.peek(self._queue, self.instance_id)
-        if self._handoff is not None:
-            watermark, main_queue, on_switched = self._handoff
-            if (self.state.last_processed_id >= watermark
-                    or (nxt is not None and nxt.id > watermark)):
-                self._handoff = None
-                self.broker.unsubscribe(self._queue, self.instance_id)
-                self._attach(main_queue, Mode.SERVING, on_switched)
-                return
-            if nxt is None:
-                # every id <= watermark was mirrored before the watermark was
-                # announced, so an empty queue here is a protocol bug
-                raise ProtocolError(
-                    f"{self.instance_id}: replay starved below watermark "
-                    f"{watermark}")
-        if nxt is None:
-            self._mark_idle()
+        if self._handoff is not None and self._switched_at_watermark():
             return
         msg = self.broker.poll(self._queue, self.instance_id)
+        if msg is None:
+            self._mark_idle()
+            return
         self._idle = False
         self._pending = self.clock.schedule(
-            self.processing_ms, lambda: self._complete(msg))
+            self.processing_ms, partial(self._complete, msg))
+
+    def _switched_at_watermark(self) -> bool:
+        """Switch to the main queue once the replay has applied the watermark
+        or the next replay message lies past it. False: keep replaying."""
+        watermark, main_queue, on_switched = self._handoff
+        nxt = self.broker.peek(self._queue, self.instance_id)
+        if (self.state.last_processed_id >= watermark
+                or (nxt is not None and nxt.id > watermark)):
+            self._handoff = None
+            self.broker.unsubscribe(self._queue, self.instance_id)
+            self._attach(main_queue, Mode.SERVING, on_switched)
+            return True
+        if nxt is None:
+            # every id <= watermark was mirrored before the watermark was
+            # announced, so an empty queue here is a protocol bug
+            raise ProtocolError(
+                f"{self.instance_id}: replay starved below watermark "
+                f"{watermark}")
+        return False
 
     def _complete(self, msg: Message) -> None:
         self._pending = None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from .broker import Broker
 from .migration import (HandoffPolicy, MigrationManager, MigrationRecord,
@@ -114,9 +115,9 @@ class Simulation:
         stream = params.stream
         if stream is None:
             stream = generate(params.workload) if params.workload else []
+        publish = self.broker.publish
         for t, payload in stream:
-            self.clock.schedule_at(
-                t, lambda p=payload: self.broker.publish(MAIN_QUEUE, p))
+            self.clock.schedule_at(t, partial(publish, MAIN_QUEUE, payload))
 
         self.manager: MigrationManager | None = None
         if params.technique is not None:

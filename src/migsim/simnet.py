@@ -72,22 +72,27 @@ class SimClock:
         """Run events in order until the queue drains. Returns the final time.
 
         Firing max_events events in one call is taken to mean that the run
-        does not terminate, and raises SimError.
+        does not terminate, and raises SimError. events_processed counts the
+        events that returned, also when one raises or the budget runs out.
         """
         heap = self._heap
+        pop = heapq.heappop
         processed = 0
-        while heap:
-            time, _, ev = heapq.heappop(heap)
-            if ev.cancelled:
-                continue
-            if time < self.now:
-                raise SimError("event queue corrupted: time went backwards")
-            self.now = time
-            ev.fn()
-            processed += 1
-            self.events_processed += 1
-            if processed >= max_events:
-                raise SimError("event budget exhausted; run does not terminate")
+        try:
+            while heap:
+                time, _, ev = pop(heap)
+                if ev.cancelled:
+                    continue
+                if time < self.now:
+                    raise SimError("event queue corrupted: time went backwards")
+                self.now = time
+                ev.fn()
+                processed += 1
+                if processed >= max_events:
+                    raise SimError(
+                        "event budget exhausted; run does not terminate")
+        finally:
+            self.events_processed += processed
         return self.now
 
 

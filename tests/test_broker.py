@@ -135,6 +135,37 @@ def test_subscribe_to_nonempty_queue_wakes(broker):
     assert wakes == ["q"]
 
 
+def test_ack_with_messages_queued_schedules_no_wake(broker):
+    clock = broker.clock
+    broker.create_queue("q")
+    wakes = []
+    broker.subscribe("q", "c", on_wake=wakes.append)
+    broker.publish("q", b"one")
+    broker.publish("q", b"two")
+    clock.run_until()
+    assert wakes == ["q"]
+    msg = broker.poll("q", "c")
+    before = clock.pending()
+    broker.ack("q", "c", msg.id)
+    # the acking consumer polls again itself; a wake would reach it busy
+    assert clock.pending() == before == 0
+    clock.run_until()
+    assert wakes == ["q"]
+    assert broker.poll("q", "c").id == 2
+
+
+def test_message_fields_cannot_be_assigned(broker):
+    broker.create_queue("q")
+    broker.subscribe("q", "c")
+    broker.publish("q", b"m")
+    msg = broker.poll("q", "c")
+    for name, value in (("id", 7), ("topic", "x"), ("payload", b"x"),
+                        ("publish_time", 1.0)):
+        with pytest.raises(AttributeError):
+            setattr(msg, name, value)
+    assert (msg.id, msg.topic, msg.payload) == (1, "q", b"m")
+
+
 # -- mirroring ----------------------------------------------------------------
 
 

@@ -197,22 +197,22 @@ ACCEPTANCE2_DIGESTS = [
 
 EVENTS = {
     "grid": [
-        1141, 494, 1142, 522, 522, 523, 523, 524, 524, 527,
-        531, 537, 541, 545, 742, 1142, 1030, 436, 680, 456,
-        456, 457, 457, 458, 458, 461, 463, 467, 469, 473,
-        565, 1184, 436, 980, 456, 456, 457, 457, 458, 458,
-        461, 463, 469, 471, 473, 717, 1082, 494, 854, 522,
-        522, 523, 523, 524, 524, 527, 531, 537, 541, 545,
-        689, 932, 494, 933, 522, 522, 523, 523, 525, 525,
-        933, 933, 933, 932, 436, 933, 456, 456, 457, 457,
-        459, 459, 933, 933, 933, 932, 436, 933, 456, 456,
-        457, 457, 459, 459, 933, 933, 933, 933, 932, 494,
-        933, 522, 522, 523, 523, 525, 525, 933, 933, 933,
-        933,
+        769, 406, 770, 422, 422, 423, 423, 424, 424, 427,
+        429, 433, 435, 438, 538, 770, 679, 373, 504, 384,
+        384, 385, 385, 386, 386, 389, 390, 393, 394, 397,
+        444, 760, 373, 658, 384, 384, 385, 385, 386, 386,
+        389, 390, 394, 395, 397, 522, 735, 405, 597, 421,
+        421, 422, 422, 423, 423, 426, 428, 432, 434, 437,
+        510, 654, 406, 655, 422, 422, 423, 423, 425, 425,
+        655, 655, 655, 626, 373, 627, 384, 384, 385, 385,
+        387, 387, 627, 627, 627, 626, 373, 627, 384, 384,
+        385, 385, 387, 387, 627, 627, 627, 627, 652, 405,
+        653, 421, 421, 422, 422, 424, 424, 653, 653, 653,
+        653,
     ],
     "acceptance2": [
-        1461, 1450, 1521, 1507, 1504, 1483, 1567, 1552, 1398, 1387,
-        1516, 1501, 1478, 1465, 1598, 1585, 1453, 1438, 1550, 1531,
+        1430, 1419, 1486, 1472, 1474, 1459, 1540, 1528, 1371, 1361,
+        1481, 1470, 1450, 1434, 1567, 1556, 1432, 1420, 1508, 1495,
     ],
 }
 

@@ -76,6 +76,37 @@ def test_event_budget_guards_against_runaway_loops():
         clock.run_until(max_events=1000)
 
 
+def test_events_processed_exact_when_budget_trips():
+    clock = SimClock()
+
+    def reschedule():
+        clock.schedule(1.0, reschedule)
+
+    clock.schedule(0.0, reschedule)
+    with pytest.raises(SimError, match="event budget exhausted"):
+        clock.run_until(max_events=1000)
+    assert clock.events_processed == 1000
+    assert clock.now == 999.0
+
+
+def test_events_processed_exact_when_an_event_raises():
+    clock = SimClock()
+    seen = []
+    for t in (1.0, 2.0, 4.0):
+        clock.schedule_at(t, lambda t=t: seen.append(t))
+
+    def boom():
+        raise RuntimeError("boom")
+
+    clock.schedule_at(3.0, boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        clock.run_until()
+    # the two events that returned count; the one that raised does not
+    assert seen == [1.0, 2.0] and clock.events_processed == 2
+    clock.run_until()
+    assert seen == [1.0, 2.0, 4.0] and clock.events_processed == 3
+
+
 def test_nested_scheduling_during_event():
     clock = SimClock()
     seen = []
