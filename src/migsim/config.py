@@ -294,12 +294,12 @@ def read_scenario(path: str | Path):
     """The JSON document of a scenario file, not yet validated."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError([f"{path}: {exc}"]) from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # malformed JSON, bytes that are not UTF-8, or an integer past
+        # Python's int-string conversion limit
         raise ConfigError([f"{path}: invalid JSON: {exc}"]) from None
 
 

@@ -100,7 +100,8 @@ def serialize_state(state: ServiceState) -> bytes:
     if state.last_processed_id < 0:
         raise SerializationError("last_processed_id must be >= 0")
     out = bytearray(struct.pack(">QI", state.last_processed_id, len(state.data)))
-    for key in sorted(state.data, key=lambda k: k.encode("utf-8")):
+    # code-point order is UTF-8 byte order, so the keys sort as they are
+    for key in sorted(state.data):
         kb = key.encode("utf-8")
         vb = _encode_value(state.data[key])
         out += struct.pack(">I", len(kb))

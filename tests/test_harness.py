@@ -543,6 +543,24 @@ def test_cli_validate(tmp_path, capsys):
     assert "fault.phase: must be a phase name" in capsys.readouterr().err
 
 
+def test_cli_validate_unreadable_document_exits_one(tmp_path, capsys):
+    # an integer past Python's 4300-digit conversion limit, and a byte that
+    # is not UTF-8: both are validation failures naming the file
+    # json cannot write such an integer either, so it goes in as text
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(_doc(trials=1, seed=271828)).replace(
+        "271828", "9" * 5000))
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"seed": \xff}')
+    for path, why in ((huge, "Exceeds the limit (4300 digits)"),
+                      (binary, "can't decode byte 0xff")):
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: invalid JSON: ") and why in err
+        with pytest.raises(ConfigError):
+            load_scenario(path)
+
+
 def test_cli_compare(tmp_path, capsys):
     scenario = _write_scenario(tmp_path)
     out = tmp_path / "out"

@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,6 +60,22 @@ def test_keys_sorted_by_utf8_bytes():
     # concerns only if the implementation sorted some other way
     blob = serialize_state(ServiceState({"é": 1, "z": 2}, 0))
     assert blob.index("z".encode()) < blob.index("é".encode("utf-8"))
+
+
+def test_non_ascii_keys_serialize_in_utf8_byte_order():
+    # two, three and four UTF-8 bytes; "😀" sorts before "ａ" in UTF-16
+    data = {"é": 1, "ａ": b"w", "😀": "s", "z": 2}
+    ref = bytearray(struct.pack(">QI", 9, len(data)))
+    for kb in sorted(k.encode("utf-8") for k in data):
+        value = data[kb.decode("utf-8")]
+        if isinstance(value, int):
+            vb = b"\x01" + struct.pack(">q", value)
+        elif isinstance(value, bytes):
+            vb = b"\x02" + value
+        else:
+            vb = b"\x03" + value.encode("utf-8")
+        ref += struct.pack(">I", len(kb)) + kb + struct.pack(">I", len(vb)) + vb
+    assert serialize_state(ServiceState(data, 9)) == bytes(ref)
 
 
 def test_rejects_bool_and_oversized_int():
