@@ -3,8 +3,8 @@ message-driven services."""
 
 from .broker import Broker, BrokerError, Message
 from .config import ConfigError, ScenarioConfig, effective_params, load_scenario, parse_scenario
-from .harness import (ComparisonSummary, MetricsReport, TrialRow, compare,
-                      export_csv, load_csv, run_experiment)
+from .harness import (ComparisonSummary, TrialRow, compare, export_csv,
+                      load_csv, run_experiment)
 from .migration import (Decision, HandoffPolicy, MigrationManager,
                         MigrationMetrics, MigrationRecord, Outcome, Phase,
                         PhaseSpan, Technique, compute_metrics, decide_handoff)
@@ -24,8 +24,8 @@ __all__ = [
     "Broker", "BrokerError", "Message",
     "ConfigError", "ScenarioConfig", "effective_params", "load_scenario",
     "parse_scenario",
-    "ComparisonSummary", "MetricsReport", "TrialRow", "compare", "export_csv",
-    "load_csv", "run_experiment",
+    "ComparisonSummary", "TrialRow", "compare", "export_csv", "load_csv",
+    "run_experiment",
     "Decision", "HandoffPolicy", "MigrationManager", "MigrationMetrics",
     "MigrationRecord", "Outcome", "Phase", "PhaseSpan", "Technique",
     "compute_metrics", "decide_handoff",

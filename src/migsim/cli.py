@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_scenario, parse_scenario, read_scenario
-from .harness import compare, export_csv, load_csv, run_experiment, MetricsReport
+from .harness import compare, export_csv, load_csv, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,19 +51,17 @@ def _cmd_run(args) -> int:
             if getattr(args, key) is not None:
                 doc[key] = getattr(args, key)
     config = parse_scenario(doc)
-    report = run_experiment(config)
+    rows = run_experiment(config)
     out_path = Path(args.out) / (Path(args.scenario).stem + ".csv")
-    export_csv(report, out_path)
-    print(f"wrote {out_path} ({len(report.rows)} rows)")
-    print(compare(report).format_text())
+    export_csv(rows, out_path)
+    print(f"wrote {out_path} ({len(rows)} rows)")
+    print(compare(rows).format_text())
     return 0
 
 
 def _cmd_compare(args) -> int:
-    a = load_csv(args.report_a)
-    b = load_csv(args.report_b)
-    merged = MetricsReport(a.rows + b.rows)
-    print(compare(merged).format_text())
+    rows = load_csv(args.report_a) + load_csv(args.report_b)
+    print(compare(rows).format_text())
     return 0
 
 

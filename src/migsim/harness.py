@@ -77,23 +77,10 @@ def row_from_record(schema_version: int, trial: int,
     )
 
 
-class MetricsReport:
-    """Per-trial rows, in run order; compare() summarizes them."""
-
-    def __init__(self, rows: list[TrialRow]):
-        self.rows = list(rows)
-
-    def techniques(self) -> list[str]:
-        seen: list[str] = []
-        for row in self.rows:
-            if row.technique not in seen:
-                seen.append(row.technique)
-        return seen
-
-
-def run_experiment(config: ScenarioConfig) -> MetricsReport:
-    """Run trials x techniques sequentially, in scenario order. Sequential
-    and single-threaded on purpose: run order is part of determinism."""
+def run_experiment(config: ScenarioConfig) -> list[TrialRow]:
+    """Run trials x techniques sequentially, in scenario order, and return
+    one row per cell in run order. Sequential and single-threaded on purpose:
+    run order is part of determinism."""
     rows: list[TrialRow] = []
     for trial in range(config.trials):
         for technique in config.techniques:
@@ -101,22 +88,24 @@ def run_experiment(config: ScenarioConfig) -> MetricsReport:
             result = Simulation(params).run()
             rows.append(row_from_record(config.schema_version, trial,
                                         result.record))
-    return MetricsReport(rows)
+    return rows
 
 
-def export_csv(report: MetricsReport, path: str | Path) -> None:
+def export_csv(rows: list[TrialRow], path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in report.rows:
+        for row in rows:
             writer.writerow([f"{getattr(row, col):.6f}" if parse is float
                              else getattr(row, col)
                              for col, parse in _PARSERS.items()])
 
 
-def load_csv(path: str | Path) -> MetricsReport:
+def load_csv(path: str | Path) -> list[TrialRow]:
+    """Read a report back. A malformed row raises ValueError naming the
+    file, the line and the column: "<path>:<line>: <column>: <problem>"."""
     rows: list[TrialRow] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -124,9 +113,19 @@ def load_csv(path: str | Path) -> MetricsReport:
             raise ValueError(
                 f"{path}: unexpected CSV header {reader.fieldnames}")
         for raw in reader:
-            rows.append(TrialRow(**{col: parse(raw[col])
-                                    for col, parse in _PARSERS.items()}))
-    return MetricsReport(rows)
+            where = f"{path}:{reader.line_num}"
+            if None in raw:
+                raise ValueError(f"{where}: more fields than the header has")
+            values = {}
+            for col, parse in _PARSERS.items():
+                if raw[col] is None:
+                    raise ValueError(f"{where}: {col}: missing")
+                try:
+                    values[col] = parse(raw[col])
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {col}: {exc}") from None
+            rows.append(TrialRow(**values))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -173,23 +172,24 @@ class ComparisonSummary:
         return "\n".join(lines)
 
 
-def compare(report: MetricsReport) -> ComparisonSummary:
-    """Summarize per technique and, when both techniques are present, derive
-    the MS2M-vs-baseline deltas. Timing means use completed trials when any
-    exist (aborted trials end at the abort, which is not comparable)."""
+def compare(rows: list[TrialRow]) -> ComparisonSummary:
+    """Summarize per technique, in order of first appearance, and, when both
+    techniques are present, derive the MS2M-vs-baseline deltas. Timing means
+    use completed trials when any exist (aborted trials end at the abort,
+    which is not comparable)."""
     summaries: dict[str, TechniqueSummary] = {}
-    for tech in report.techniques():
-        rows = [r for r in report.rows if r.technique == tech]
+    for tech in dict.fromkeys(r.technique for r in rows):
+        cells = [r for r in rows if r.technique == tech]
         outcomes: dict[str, int] = {}
-        for r in rows:
+        for r in cells:
             outcomes[r.outcome] = outcomes.get(r.outcome, 0) + 1
-        timed = [r for r in rows if r.outcome == Outcome.COMPLETED.value]
+        timed = [r for r in cells if r.outcome == Outcome.COMPLETED.value]
         if not timed:
-            timed = rows
+            timed = cells
         mean = lambda col: statistics.fmean(getattr(r, col) for r in timed)
         summaries[tech] = TechniqueSummary(
             technique=tech,
-            trials=len(rows),
+            trials=len(cells),
             outcomes=outcomes,
             mean_total_ms=mean("total_ms"),
             mean_downtime_paused_ms=mean("downtime_paused_ms"),

@@ -31,13 +31,22 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .broker import Broker
 from .rules import check, param
 from .service import (Checkpoint, Mode, ProtocolError, ServiceInstance,
                       state_size_bytes)
-from .simnet import (Host, Link, SimClock, checkpoint_duration,
-                     restore_duration, transfer_duration)
+from .simnet import (SimClock, checkpoint_duration, restore_duration,
+                     transfer_duration)
+
+if TYPE_CHECKING:
+    from .sim import SimParams
+
+SERVICE_ID = "svc"
+MAIN_QUEUE = "svc.in"
+OUTPUT_QUEUE = "svc.out"
+MIGRATION_ID = "m1"
 
 
 class Technique(str, enum.Enum):
@@ -103,8 +112,15 @@ class MigrationRecord:
                    if s.name == phase.value)
 
     def validate_timeline(self, tolerance_ms: float = 1e-6) -> None:
+        """Spans must tile the record, and no phase may be entered twice: a
+        phase fault is scheduled on entry, so this invariant is what keeps
+        it to one firing."""
         prev_end = None
+        seen: set[str] = set()
         for span in self.phase_timeline:
+            if span.name in seen:
+                raise ProtocolError(f"phase {span.name} entered twice")
+            seen.add(span.name)
             if prev_end is not None and abs(span.start_ms - prev_end) > tolerance_ms:
                 raise ProtocolError(
                     f"phase {span.name} does not start where the previous "
@@ -253,7 +269,8 @@ class State(enum.Enum):
 
 class MigrationManager:
     """Drives a single migration of one service between two hosts as one
-    state machine.
+    state machine, reading hosts, link, costs, policy and fault from the
+    run's SimParams.
 
     Every step is an event: either a control message, whose payload is the
     bare event name, delivered on one of three per-migration broker queues
@@ -263,7 +280,7 @@ class MigrationManager:
     (an abort or an earlier step overtook it) and is dropped; an event the
     table does not know is a ProtocolError. Every outcome leaves through
     _finish, which tears down, closes and checks the phase timeline, and
-    reports.
+    records the outcome.
 
     MS2M, state by state (event -> step):
       CHECKPOINT  pause_request -> pause the source; pause_elapsed ->
@@ -289,46 +306,26 @@ class MigrationManager:
     activation_elapsed -> the target serves the main queue; switched ->
     Completed.
 
-    In HANDOFF the source's part is over, so a source crash no longer
-    matters. In any earlier state it ends the migration as
-    AbortedSourceCrash.
-
-    Hooks: on_complete(record, serving_instance_or_None),
-    on_phase_entered(phase, time_ms), on_instance_created(instance).
+    Around the protocol, the manager kills the source (crash_source, which
+    aborts the migration in any state before HANDOFF), schedules a fault on
+    a named phase when it enters that phase, reports the restored target's
+    mode changes to the source's on_mode_change, and on Completed times how
+    long the target takes to drain the main queue into record.drain_ms.
     """
 
-    def __init__(self, *, clock: SimClock, broker: Broker, rng: random.Random,
-                 technique: Technique, service_id: str, main_queue: str,
-                 output_topic: str, source: ServiceInstance, source_host: Host,
-                 target_host: Host, link: Link, pause_ms: float,
-                 continuation_ms: float, processing_ms: float,
-                 policy: HandoffPolicy, migration_id: str = "m1",
-                 shadow: bool = False, on_complete=None,
-                 on_phase_entered=None, on_instance_created=None):
+    q_mgr = f"ctl.{MIGRATION_ID}.mgr"
+    q_src = f"ctl.{MIGRATION_ID}.src"
+    q_tgt = f"ctl.{MIGRATION_ID}.tgt"
+
+    def __init__(self, params: SimParams, clock: SimClock, broker: Broker,
+                 rng: random.Random, source: ServiceInstance):
+        self.params = params
+        self.technique = params.technique
+        self.policy = params.policy
         self.clock = clock
         self.broker = broker
         self.rng = rng
-        self.technique = technique
-        self.service_id = service_id
-        self.main_queue = main_queue
-        self.output_topic = output_topic
         self.source = source
-        self.source_host = source_host
-        self.target_host = target_host
-        self.link = link
-        self.pause_ms = pause_ms
-        self.continuation_ms = continuation_ms
-        self.processing_ms = processing_ms
-        self.policy = policy
-        self.migration_id = migration_id
-        self.shadow = shadow
-        self.on_complete = on_complete
-        self.on_phase_entered = on_phase_entered
-        self.on_instance_created = on_instance_created
-
-        self.q_mgr = f"ctl.{migration_id}.mgr"
-        self.q_src = f"ctl.{migration_id}.src"
-        self.q_tgt = f"ctl.{migration_id}.tgt"
 
         self.record: MigrationRecord | None = None
         self.state = State.IDLE
@@ -349,7 +346,7 @@ class MigrationManager:
             raise ProtocolError("migration already started")
         self.record = MigrationRecord(
             technique=self.technique,
-            migration_id=self.migration_id,
+            migration_id=MIGRATION_ID,
             initiated_at=self.clock.now,
             phase_timeline=self._spans,
         )
@@ -358,16 +355,17 @@ class MigrationManager:
             return
         for queue, owner in ((self.q_mgr, "mgr"), (self.q_src, "agent.src"),
                              (self.q_tgt, "agent.tgt")):
-            ControlEndpoint(self.broker, queue, f"{owner}.{self.migration_id}",
+            ControlEndpoint(self.broker, queue, f"{owner}.{MIGRATION_ID}",
                             self._on_event)
         self.state = State.CHECKPOINT
         self._send(self.q_src, "pause_request")
 
-    def on_source_crash(self) -> None:
-        """Source died. In HANDOFF its part is already over (watermark
+    def crash_source(self) -> None:
+        """Kill the source. In HANDOFF its part is already over (watermark
         announced, or checkpoint fully transferred in StopAndCopy) and the
         migration proceeds; before that, abort and report what was lost
         rather than promote a target that could duplicate or drop outputs."""
+        self.source.crash()
         if self.state not in (State.IDLE, State.HANDOFF, State.DONE):
             self._finish(Outcome.ABORTED_SOURCE_CRASH)
 
@@ -377,8 +375,9 @@ class MigrationManager:
             name, start = self._current_phase
             self._spans.append(PhaseSpan(name.value, start, now))
         self._current_phase = (phase, now)
-        if self.on_phase_entered is not None:
-            self.on_phase_entered(phase, now)
+        fault = self.params.fault
+        if fault is not None and fault.phase == phase.value:
+            self.clock.schedule(fault.offset_ms, self.crash_source)
 
     def _close_phases(self) -> None:
         if self._current_phase is not None:
@@ -388,7 +387,7 @@ class MigrationManager:
 
     def _finish(self, outcome: Outcome) -> None:
         """The single exit: tear down, close and check the phase timeline,
-        record the outcome and report it."""
+        record the outcome, and on Completed start timing the drain."""
         rec = self.record
         if outcome is Outcome.ABORTED_SOURCE_CRASH:
             # only a crash cancels a pending replay check; after a handoff or
@@ -396,7 +395,7 @@ class MigrationManager:
             # golden event counts include that firing
             if self._monitor_event is not None:
                 self.clock.cancel(self._monitor_event)
-            published = self.broker.queue(self.main_queue).published_total
+            published = self.broker.queue(MAIN_QUEUE).published_total
             last = self.source.state.last_processed_id
             rec.crash_info = {
                 "source_last_processed": last,
@@ -408,7 +407,7 @@ class MigrationManager:
             target.stop()  # a no-op once a discard has stopped it
         if self.secondary_queue is not None:
             # the mirror starts with the secondary and runs until here
-            self.broker.stop_mirror(self.main_queue)
+            self.broker.stop_mirror(MAIN_QUEUE)
             self.broker.delete_queue(self.secondary_queue)
         self._close_phases()
         rec.validate_timeline()
@@ -417,9 +416,15 @@ class MigrationManager:
         rec.outcome = outcome
         rec.completed_at = self.clock.now
         self.state = State.DONE
-        if self.on_complete is not None:
-            self.on_complete(
-                rec, target if outcome is Outcome.COMPLETED else None)
+        if outcome is Outcome.COMPLETED:
+            target.on_idle = self._drain_check
+            if not target.busy:
+                self._drain_check(target)
+
+    def _drain_check(self, _target: ServiceInstance) -> None:
+        rec = self.record
+        if rec.drain_ms is None and len(self.broker.queue(MAIN_QUEUE)) == 0:
+            rec.drain_ms = self.clock.now - rec.completed_at
 
     # -- events -------------------------------------------------------------
 
@@ -441,12 +446,12 @@ class MigrationManager:
     def _pause_source(self) -> None:
         self.enter_phase(Phase.PAUSE)
         self.source.pause()
-        self._after(self.pause_ms, "pause_elapsed")
+        self._after(self.params.pause_ms, "pause_elapsed")
 
     def _checkpoint_source(self) -> None:
         self.enter_phase(Phase.CHECKPOINT)
         size = state_size_bytes(self.source.state)
-        self._after(checkpoint_duration(self.source_host, size),
+        self._after(checkpoint_duration(self.params.source_host, size),
                     "checkpoint_elapsed")
 
     def _checkpoint_taken(self) -> None:
@@ -457,17 +462,17 @@ class MigrationManager:
             self.source.stop()
             self._send(self.q_mgr, "phase1_done")
             return
-        self.secondary_queue = f"{self.main_queue}.sec.{self.migration_id}"
+        self.secondary_queue = f"{MAIN_QUEUE}.sec.{MIGRATION_ID}"
         self.broker.create_queue(self.secondary_queue)
         # the secondary must hold every id the checkpoint does not cover,
         # including messages buffered while the source was paused
-        self.broker.start_mirror(self.main_queue, self.secondary_queue,
+        self.broker.start_mirror(MAIN_QUEUE, self.secondary_queue,
                                  cp.checkpoint_last_id + 1)
         self.enter_phase(Phase.CONTINUATION)
-        self._after(self.continuation_ms, "continuation_elapsed")
+        self._after(self.params.continuation_ms, "continuation_elapsed")
 
     def _resume_source(self) -> None:
-        self.source.start_serving(self.main_queue)
+        self.source.start_serving(MAIN_QUEUE)
         self._send(self.q_mgr, "phase1_done")
 
     def _stop_source(self) -> None:
@@ -482,23 +487,22 @@ class MigrationManager:
 
     def _restore(self) -> None:
         self.enter_phase(Phase.RESTORATION)
-        self._after(restore_duration(self.target_host,
+        self._after(restore_duration(self.params.target_host,
                                      self.checkpoint.size_bytes),
                     "restore_elapsed")
 
     def _restored(self) -> None:
+        p = self.params
         inst = ServiceInstance.restore(
-            self.checkpoint, self.clock, self.broker,
-            self.processing_ms, self.output_topic,
-            instance_id=f"{self.service_id}@{self.target_host.id}",
-            shadow=self.shadow)
+            self.checkpoint, self.clock, self.broker, p.processing_ms,
+            OUTPUT_QUEUE, instance_id=f"{SERVICE_ID}@{p.target_host.id}",
+            shadow=p.shadow)
+        inst.on_mode_change = self.source.on_mode_change
         self.target_instance = inst
-        if self.on_instance_created is not None:
-            self.on_instance_created(inst)
         if self.technique is Technique.STOP_AND_COPY:
             # activation: the restored container still pays the unpause cost
             # before it can serve; it lands inside the restoration span
-            self._after(self.continuation_ms, "activation_elapsed")
+            self._after(p.continuation_ms, "activation_elapsed")
             return
         self.enter_phase(Phase.REPLAY)
         self._send(self.q_mgr, "restored")
@@ -507,7 +511,7 @@ class MigrationManager:
 
     def _activate(self) -> None:
         self.enter_phase(Phase.FINALIZATION)
-        self.target_instance.start_serving(self.main_queue)
+        self.target_instance.start_serving(MAIN_QUEUE)
         self._send(self.q_mgr, "switched")
 
     def _freeze_target(self) -> None:
@@ -516,7 +520,7 @@ class MigrationManager:
 
     def _finish_replay(self) -> None:
         self.target_instance.finish_replay(
-            self.record.watermark, self.main_queue, self._target_switched)
+            self.record.watermark, MAIN_QUEUE, self._target_switched)
 
     def _target_switched(self, _target: ServiceInstance) -> None:
         self.enter_phase(Phase.FINALIZATION)
@@ -531,7 +535,8 @@ class MigrationManager:
     def _transfer(self) -> None:
         self.enter_phase(Phase.TRANSFER)
         self.state = State.TRANSFER
-        dur = transfer_duration(self.link, self.checkpoint.size_bytes, self.rng)
+        dur = transfer_duration(self.params.link, self.checkpoint.size_bytes,
+                                self.rng)
         self._after(dur, "transfer_elapsed")
 
     def _transferred(self) -> None:

@@ -4,6 +4,13 @@ migration driven by a MigrationManager, plus fault injection.
 Everything is wired at construction; run() executes the event loop to
 exhaustion and assembles a SimResult. A (params, seed) pair fully determines
 the run: identical inputs give byte-identical outputs and final state.
+
+The Simulation owns the clock, the broker, the source instance and the mode
+log. A MigrationManager built from the same SimParams owns the rest of a
+migration: the source crash (a phase fault it schedules itself, on entering
+that phase), the restored target's place in the mode log, and the drain
+timing in its record. Only a run without a technique crashes its source
+directly.
 """
 
 from __future__ import annotations
@@ -13,16 +20,12 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .broker import Broker
-from .migration import (HandoffPolicy, MigrationManager, MigrationRecord,
-                        Outcome, Phase, Technique)
+from .migration import (MAIN_QUEUE, OUTPUT_QUEUE, SERVICE_ID, HandoffPolicy,
+                        MigrationManager, MigrationRecord, Phase, Technique)
 from .rules import check, param
 from .service import Mode, ServiceInstance, ServiceState, serialize_state
 from .simnet import Host, Link, SimClock, SimError
 from .workload import WorkloadSpec, generate
-
-MAIN_QUEUE = "svc.in"
-OUTPUT_QUEUE = "svc.out"
-SERVICE_ID = "svc"
 
 
 @dataclass(frozen=True)
@@ -103,13 +106,12 @@ class Simulation:
 
         self.mode_log: list[ModeTransition] = []
         self._serving: set[str] = set()
-        self._drained_at: float | None = None
         self._ran = False
 
         self.source = ServiceInstance(
             f"{SERVICE_ID}@{params.source_host.id}", ServiceState(),
             self.clock, self.broker, params.processing_ms, OUTPUT_QUEUE)
-        self._wire_instance(self.source)
+        self.source.on_mode_change = self._on_mode_change
         self.source.start_serving(MAIN_QUEUE)
 
         stream = params.stream
@@ -121,29 +123,15 @@ class Simulation:
 
         self.manager: MigrationManager | None = None
         if params.technique is not None:
-            self.manager = MigrationManager(
-                clock=self.clock, broker=self.broker, rng=self.rng,
-                technique=params.technique, service_id=SERVICE_ID,
-                main_queue=MAIN_QUEUE, output_topic=OUTPUT_QUEUE,
-                source=self.source, source_host=params.source_host,
-                target_host=params.target_host, link=params.link,
-                pause_ms=params.pause_ms,
-                continuation_ms=params.continuation_ms,
-                processing_ms=params.processing_ms, policy=params.policy,
-                shadow=params.shadow, on_complete=self._on_migration_complete,
-                on_instance_created=self._wire_instance,
-                on_phase_entered=self._on_phase_entered)
+            self.manager = MigrationManager(params, self.clock, self.broker,
+                                            self.rng, self.source)
             self.clock.schedule_at(params.trigger_ms, self.manager.start)
 
         fault = params.fault
-        self._fault_armed = fault is not None
         if fault is not None and fault.at_ms is not None:
-            self.clock.schedule_at(fault.at_ms, self._crash_source)
-
-    # -- hooks ----------------------------------------------------------------
-
-    def _wire_instance(self, inst: ServiceInstance) -> None:
-        inst.on_mode_change = self._on_mode_change
+            crash = (self.manager.crash_source if self.manager is not None
+                     else self.source.crash)
+            self.clock.schedule_at(fault.at_ms, crash)
 
     def _on_mode_change(self, inst: ServiceInstance, old: Mode, new: Mode) -> None:
         self.mode_log.append(ModeTransition(
@@ -157,35 +145,6 @@ class Simulation:
         else:
             self._serving.discard(inst.instance_id)
 
-    def _on_phase_entered(self, phase: Phase, _time_ms: float) -> None:
-        fault = self.params.fault
-        if (self._fault_armed and fault is not None
-                and fault.phase == phase.value):
-            self._fault_armed = False
-            self.clock.schedule(fault.offset_ms, self._crash_source)
-
-    def _crash_source(self) -> None:
-        if self.source.crashed:
-            return
-        self.source.crash()
-        if self.manager is not None:
-            self.manager.on_source_crash()
-
-    def _on_migration_complete(self, record: MigrationRecord,
-                               serving: ServiceInstance | None) -> None:
-        if serving is None:
-            return
-        completed_at = self.clock.now
-
-        def drain_hook(_inst: ServiceInstance) -> None:
-            if (self._drained_at is None
-                    and len(self.broker.queue(MAIN_QUEUE)) == 0):
-                self._drained_at = self.clock.now
-
-        serving.on_idle = drain_hook
-        if not serving.busy and len(self.broker.queue(MAIN_QUEUE)) == 0:
-            self._drained_at = completed_at
-
     # -- execution -------------------------------------------------------------
 
     def run(self) -> SimResult:
@@ -195,10 +154,6 @@ class Simulation:
         self.clock.run_until()
 
         record = self.manager.record if self.manager is not None else None
-        if record is not None and record.outcome is Outcome.COMPLETED:
-            if self._drained_at is not None:
-                record.drain_ms = self._drained_at - record.completed_at
-
         target = self.manager.target_instance if self.manager else None
         candidates = [self.source] + ([target] if target is not None else [])
         serving = [i for i in candidates if i.mode is Mode.SERVING]

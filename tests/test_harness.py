@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from migsim.cli import main
 from migsim.config import (ConfigError, SCHEMA_VERSION, ScenarioConfig,
                            effective_params, load_scenario, parse_scenario)
-from migsim.harness import (CSV_COLUMNS, MetricsReport, TrialRow, compare,
-                            export_csv, load_csv, run_experiment)
+from migsim.harness import (CSV_COLUMNS, TrialRow, compare, export_csv,
+                            load_csv, run_experiment)
 from migsim.migration import HandoffPolicy, Technique
 from migsim.rules import rules
 from migsim.sim import FaultSpec, SimParams
@@ -45,15 +45,15 @@ def _doc(**kw):
 
 def test_rows_are_trial_major_in_scenario_technique_order():
     report = run_experiment(parse_scenario(_doc()))
-    cells = [(r.trial, r.technique) for r in report.rows]
+    cells = [(r.trial, r.technique) for r in report]
     assert cells == [(0, "MS2M"), (0, "StopAndCopy"),
                      (1, "MS2M"), (1, "StopAndCopy")]
 
 
 def test_completed_runs_drain_fully():
     report = run_experiment(parse_scenario(_doc()))
-    assert all(r.outcome == "Completed" for r in report.rows)
-    assert all(r.drain_ms >= 0.0 for r in report.rows)
+    assert all(r.outcome == "Completed" for r in report)
+    assert all(r.drain_ms >= 0.0 for r in report)
 
 
 def test_csv_export_is_deterministic(tmp_path):
@@ -85,8 +85,8 @@ def test_aborted_rows_use_drain_sentinel(tmp_path):
     doc = _doc(trials=1, fault={"kind": "source_crash", "at_ms": 702})
     path = tmp_path / "r.csv"
     report = run_experiment(parse_scenario(doc))
-    assert all(r.outcome == "AbortedSourceCrash" for r in report.rows)
-    assert all(r.drain_ms == -1.0 for r in report.rows)
+    assert all(r.outcome == "AbortedSourceCrash" for r in report)
+    assert all(r.drain_ms == -1.0 for r in report)
     export_csv(report, path)
     for line in path.read_text().splitlines()[1:]:
         assert line.endswith(",-1.000000")
@@ -98,9 +98,9 @@ def test_csv_round_trip_is_a_fixed_point(tmp_path):
     export_csv(load_csv(first), second)
     assert first.read_bytes() == second.read_bytes()
     loaded = load_csv(first)
-    assert loaded.rows[0].technique == "MS2M"
-    assert isinstance(loaded.rows[0].total_ms, float)
-    assert isinstance(loaded.rows[0].replayed_count, int)
+    assert loaded[0].technique == "MS2M"
+    assert isinstance(loaded[0].total_ms, float)
+    assert isinstance(loaded[0].replayed_count, int)
 
 
 def test_load_csv_rejects_unknown_header(tmp_path):
@@ -121,7 +121,7 @@ def _row(tech, outcome="Completed", **kw):
 
 
 def test_compare_oracle():
-    report = MetricsReport([
+    report = [
         _row("MS2M", total_ms=44.0, downtime_paused_ms=30.0,
              downtime_strict_ms=10.0, pause_ms=1.0, checkpoint_ms=2.0,
              transfer_ms=3.0),
@@ -131,7 +131,7 @@ def test_compare_oracle():
         _row("StopAndCopy", total_ms=40.0, downtime_paused_ms=40.0,
              downtime_strict_ms=40.0, pause_ms=1.0, checkpoint_ms=2.0,
              transfer_ms=3.0),
-    ])
+    ]
     cmp = compare(report)
     ms2m = cmp.techniques["MS2M"]
     assert ms2m.trials == 2
@@ -147,7 +147,7 @@ def test_compare_oracle():
 
 
 def test_compare_single_technique_has_no_deltas():
-    cmp = compare(MetricsReport([_row("MS2M", total_ms=10.0)]))
+    cmp = compare([_row("MS2M", total_ms=10.0)])
     assert cmp.total_delta_pct is None
     assert cmp.downtime_reduction_paused_pct is None
     assert "vs" not in cmp.format_text()
@@ -495,7 +495,7 @@ def test_cli_run_writes_report(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "wrote" in stdout
     assert "MS2M" in stdout
-    rows = load_csv(report_path).rows
+    rows = load_csv(report_path)
     assert len(rows) == 2  # one trial, two techniques
 
 
@@ -569,6 +569,25 @@ def test_cli_compare(tmp_path, capsys):
     report = str(out / "scenario.csv")
     assert main(["compare", report, report]) == 0
     assert "downtime" in capsys.readouterr().out
+
+
+def test_cli_compare_names_the_malformed_row(tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    export_csv([_row("MS2M")], good)
+    header, line = good.read_text().splitlines()
+    cells = line.split(",")
+    bad_float = tmp_path / "bad_float.csv"
+    bad_float.write_text(f"{header}\n{line}\n{','.join(cells[:-1])},abc\n")
+    short = tmp_path / "short.csv"
+    short.write_text(f"{header}\n{','.join(cells[:3])}\n")
+    long = tmp_path / "long.csv"
+    long.write_text(f"{header}\n{line},7\n")
+    for path, line_no, problem in (
+            (bad_float, 3, "drain_ms: could not convert string to float: 'abc'"),
+            (short, 2, "outcome: missing"),
+            (long, 2, "more fields than the header has")):
+        assert main(["compare", str(good), str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:{line_no}: {problem}\n"
 
 
 def test_cli_runtime_error_exits_two(tmp_path, capsys):

@@ -81,6 +81,15 @@ def test_validate_timeline_rejects_gaps():
         rec.validate_timeline()
 
 
+def test_validate_timeline_rejects_a_phase_entered_twice():
+    # contiguous, so only the repeated name is wrong
+    rec = MigrationRecord(Technique.MS2M, "m", 0.0, phase_timeline=[
+        _span(Phase.PAUSE, 0, 10), _span(Phase.CHECKPOINT, 10, 30),
+        _span(Phase.PAUSE, 30, 40)])
+    with pytest.raises(ProtocolError, match="ServicePause entered twice"):
+        rec.validate_timeline()
+
+
 def test_metrics_oracle_live_migration():
     rec = MigrationRecord(
         Technique.MS2M, "m", initiated_at=0.0, outcome=Outcome.COMPLETED,
@@ -464,6 +473,18 @@ def test_source_crash_before_trigger():
     last = res.source.state.last_processed_id
     assert _ids(res.outputs) == list(range(1, last + 1))
     assert res.published_main - last == res.remaining_main
+
+
+def test_source_crash_without_migration():
+    params = _mk(technique=None, trigger_ms=None,
+                 fault=FaultSpec(at_ms=1500.0))
+    control = _control_of(params)
+    res = _run(params)
+    assert res.record is None
+    assert res.source.mode is Mode.STOPPED and res.source.crashed
+    assert res.final_state is None
+    assert 0 < len(res.outputs) < len(control.outputs)
+    assert res.outputs == control.outputs[:len(res.outputs)]
 
 
 @pytest.mark.parametrize("technique",
