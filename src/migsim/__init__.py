@@ -4,10 +4,10 @@ message-driven services."""
 from .broker import Broker, BrokerError, Message
 from .config import ConfigError, ScenarioConfig, effective_params, load_scenario, parse_scenario
 from .harness import (ComparisonSummary, TrialRow, compare, export_csv,
-                      load_csv, run_experiment)
+                      load_csv, row_from_record, run_experiment)
 from .migration import (Decision, HandoffPolicy, MigrationManager,
-                        MigrationMetrics, MigrationRecord, Outcome, Phase,
-                        PhaseSpan, Technique, compute_metrics, decide_handoff)
+                        MigrationRecord, Outcome, Phase, PhaseSpan, Technique,
+                        decide_handoff)
 from .service import (Checkpoint, Mode, ProtocolError, ServiceError,
                       ServiceInstance, ServiceState, StaleMessage,
                       deserialize_state, handle, serialize_state,
@@ -25,10 +25,9 @@ __all__ = [
     "ConfigError", "ScenarioConfig", "effective_params", "load_scenario",
     "parse_scenario",
     "ComparisonSummary", "TrialRow", "compare", "export_csv", "load_csv",
-    "run_experiment",
-    "Decision", "HandoffPolicy", "MigrationManager", "MigrationMetrics",
-    "MigrationRecord", "Outcome", "Phase", "PhaseSpan", "Technique",
-    "compute_metrics", "decide_handoff",
+    "row_from_record", "run_experiment",
+    "Decision", "HandoffPolicy", "MigrationManager", "MigrationRecord",
+    "Outcome", "Phase", "PhaseSpan", "Technique", "decide_handoff",
     "Checkpoint", "Mode", "ProtocolError", "ServiceError", "ServiceInstance",
     "ServiceState", "StaleMessage", "deserialize_state", "handle",
     "serialize_state", "state_size_bytes",

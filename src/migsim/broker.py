@@ -88,7 +88,7 @@ class Queue:
     def _fire_wake(self) -> None:
         self._wake_pending = False
         if self.subscriber is not None and self._wake is not None:
-            self._wake(self.name)
+            self._wake()
 
 
 class Broker:
@@ -191,7 +191,7 @@ class Broker:
     def subscribe(self, name: str, consumer: str, on_wake=None) -> None:
         """Attach the single consumer of a queue.
 
-        Delivery resumes at the oldest unacknowledged message. on_wake(name)
+        Delivery resumes at the oldest unacknowledged message. on_wake()
         fires, via a scheduled event, on subscribing to a non-empty queue and
         on a publish while nothing is in flight. It does not fire after an
         ack: the consumer polls again once it has acked.

@@ -13,12 +13,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .migration import HandoffPolicy, Technique
-from .rules import REQUIRED, param, problem, rules
+from .rules import REQUIRED, Rule, param, problem, rules
 from .sim import FaultSpec, SimParams
 from .simnet import Host, Link
 from .workload import KINDS, WorkloadSpec
 
 SCHEMA_VERSION = 1
+# run_experiment keeps every row in memory until the CSV is written
+MAX_TRIALS = 10_000
 
 
 class ConfigError(Exception):
@@ -31,33 +33,32 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
-    """A parsed scenario. The numeric rules of the fields it passes on are
-    those of the dataclasses that take them (SimParams, WorkloadSpec, Host,
-    Link, HandoffPolicy, FaultSpec); only its own fields' rules are here."""
+    """A parsed scenario: how many trials to run from which seed, the
+    workload every cell shares, and one SimParams per technique, in scenario
+    order, with that technique's overrides applied. Those params carry no
+    workload; effective_params adds each trial's seed and workload.
 
-    schema_version: int = param(integer=True)
+    The numeric rules of the fields a scenario passes on are those of the
+    dataclasses that take them (SimParams, WorkloadSpec, Host, Link,
+    HandoffPolicy, FaultSpec); only trials' rule is here."""
+
     seed: int
-    trials: int = param(1, minimum=1, integer=True)
-    techniques: tuple[Technique, ...]
+    trials: int = param(1, minimum=1, maximum=MAX_TRIALS, integer=True)
     workload: WorkloadSpec
     workload_seed_fixed: bool
-    processing_ms: float
-    hosts: dict[str, Host]
-    links: tuple[Link, ...]
-    source: str
-    target: str
-    # a scenario must say when to migrate; SimParams may leave it out
-    trigger_ms: float = param(minimum=0.0)
-    pause_ms: float
-    continuation_ms: float
-    policy: HandoffPolicy
-    overrides: dict[str, dict]
-    fault: FaultSpec | None
-    delivery_latency_ms: float
+    params: dict[Technique, SimParams]
+
+    @property
+    def techniques(self) -> tuple[Technique, ...]:
+        return tuple(self.params)
 
 
 # the rule of every numeric field a scenario sets outside its objects
-_SCENARIO = rules(SimParams) | rules(ScenarioConfig)
+_SCENARIO = rules(SimParams) | rules(ScenarioConfig) | {
+    "schema_version": Rule(integer=True),
+    # a scenario must say when to migrate; SimParams may leave it out
+    "trigger_ms": Rule(minimum=0.0),
+}
 # an override obeys the rule of the field it replaces
 _OVERRIDES = rules(Host) | rules(Link) | {
     key: _SCENARIO[key] for key in ("pause_ms", "continuation_ms")}
@@ -155,19 +156,26 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
 
     if errors:
         raise ConfigError(errors)
-    return ScenarioConfig(
-        **top, **processing, **timing,
-        techniques=tuple(techniques),
-        workload=workload,
-        workload_seed_fixed=seed_fixed,
-        hosts=hosts,
-        links=tuple(links),
-        source=source,
-        target=target,
-        policy=policy,
-        overrides=overrides,
-        fault=fault,
-    )
+    link = next(l for l in links if l.source == source and l.target == target)
+    params = {}
+    for tech in techniques:
+        # per-technique overrides replace the shared cost constants, so the
+        # two techniques can be calibrated independently
+        ov = overrides.get(tech.value, {})
+        params[tech] = SimParams(
+            source_host=_override(hosts[source], ov, "checkpoint_"),
+            target_host=_override(hosts[target], ov, "restore_"),
+            link=_override(link, ov),
+            **processing,
+            **{key: ov.get(key, val) for key, val in timing.items()},
+            technique=tech,
+            policy=policy,
+            fault=fault,
+            delivery_latency_ms=top["delivery_latency_ms"],
+        )
+    return ScenarioConfig(seed=top["seed"], trials=top["trials"],
+                          workload=workload, workload_seed_fixed=seed_fixed,
+                          params=params)
 
 
 def _parse_workload(raw, errors) -> tuple[WorkloadSpec | None, bool]:
@@ -309,36 +317,15 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
 def effective_params(config: ScenarioConfig, technique: Technique,
                      trial: int) -> SimParams:
-    """Resolve one (technique, trial) cell into simulation parameters.
-
-    Per-technique overrides replace the shared cost constants so the two
-    techniques can be calibrated independently. The trial index offsets the
-    seed; a workload that pinned its own seed keeps it across trials.
-    """
-    ov = config.overrides.get(technique.value, {})
-    link = next(l for l in config.links
-                if l.source == config.source and l.target == config.target)
-
+    """Resolve one (technique, trial) cell into simulation parameters: the
+    technique's params with the trial's seed, config.seed + trial, and the
+    workload, which takes that seed too unless it pinned its own."""
     trial_seed = config.seed + trial
     workload = config.workload
     if not config.workload_seed_fixed:
         workload = dataclasses.replace(workload, seed=trial_seed)
-
-    return SimParams(
-        source_host=_override(config.hosts[config.source], ov, "checkpoint_"),
-        target_host=_override(config.hosts[config.target], ov, "restore_"),
-        link=_override(link, ov),
-        workload=workload,
-        processing_ms=config.processing_ms,
-        pause_ms=ov.get("pause_ms", config.pause_ms),
-        continuation_ms=ov.get("continuation_ms", config.continuation_ms),
-        technique=technique,
-        trigger_ms=config.trigger_ms,
-        policy=config.policy,
-        seed=trial_seed,
-        fault=config.fault,
-        delivery_latency_ms=config.delivery_latency_ms,
-    )
+    return dataclasses.replace(config.params[technique], seed=trial_seed,
+                               workload=workload)
 
 
 def _override(obj, ov: dict, prefix: str = ""):

@@ -173,55 +173,6 @@ def decide_handoff(backlog: int, elapsed_replay_ms: float,
     return Decision.CONTINUE
 
 
-@dataclass(frozen=True)
-class MigrationMetrics:
-    """Durations derived from one record.
-
-    Three downtime readings are exposed because tracers bound downtime
-    differently:
-      * paused: the source-paused interval, pause + checkpoint +
-        continuation. For StopAndCopy this extends to the instant the target
-        serves, which is the whole migration.
-      * strict: the checkpoint span alone.
-      * pause_checkpoint_transfer: pause + checkpoint + transfer; the
-        reading the calibrated reference scenario's reduction figure is
-        stated in.
-    """
-
-    total_ms: float
-    phase_ms: dict[str, float]
-    downtime_paused_ms: float
-    downtime_strict_ms: float
-    downtime_pause_checkpoint_transfer_ms: float
-
-
-def compute_metrics(record: MigrationRecord) -> MigrationMetrics:
-    if record.completed_at is None:
-        raise ValueError("record is not finished")
-    phase_ms = {p.value: record.phase_ms(p) for p in Phase}
-    total = record.completed_at - record.initiated_at
-    p = phase_ms[Phase.PAUSE.value]
-    c = phase_ms[Phase.CHECKPOINT.value]
-    k = phase_ms[Phase.CONTINUATION.value]
-    t = phase_ms[Phase.TRANSFER.value]
-    resumed = any(s.name == Phase.CONTINUATION.value
-                  for s in record.phase_timeline)
-    if record.technique is Technique.MS2M and resumed:
-        paused = p + c + k
-    else:
-        # the service never came back before the record ended: down throughout
-        pause_start = (record.phase_timeline[0].start_ms
-                       if record.phase_timeline else record.initiated_at)
-        paused = record.completed_at - pause_start
-    return MigrationMetrics(
-        total_ms=total,
-        phase_ms=phase_ms,
-        downtime_paused_ms=paused,
-        downtime_strict_ms=c,
-        downtime_pause_checkpoint_transfer_ms=p + c + t,
-    )
-
-
 # -- control plane ----------------------------------------------------------
 
 
@@ -239,7 +190,7 @@ class ControlEndpoint:
         broker.create_queue(queue)
         broker.subscribe(queue, owner, on_wake=self._drain)
 
-    def _drain(self, _queue_name=None) -> None:
+    def _drain(self) -> None:
         while True:
             msg = self.broker.poll(self.queue, self.owner)
             if msg is None:
@@ -419,9 +370,9 @@ class MigrationManager:
         if outcome is Outcome.COMPLETED:
             target.on_idle = self._drain_check
             if not target.busy:
-                self._drain_check(target)
+                self._drain_check()
 
-    def _drain_check(self, _target: ServiceInstance) -> None:
+    def _drain_check(self) -> None:
         rec = self.record
         if rec.drain_ms is None and len(self.broker.queue(MAIN_QUEUE)) == 0:
             rec.drain_ms = self.clock.now - rec.completed_at
@@ -478,7 +429,7 @@ class MigrationManager:
     def _stop_source(self) -> None:
         self.source.request_stop(self._source_stopped)
 
-    def _source_stopped(self, _source: ServiceInstance) -> None:
+    def _source_stopped(self) -> None:
         self._send(self.q_mgr, "source_stopped")
         # the source announces the watermark to the target directly
         self._send(self.q_tgt, "watermark")
@@ -506,7 +457,7 @@ class MigrationManager:
             return
         self.enter_phase(Phase.REPLAY)
         self._send(self.q_mgr, "restored")
-        inst.on_idle = lambda _inst: self._send(self.q_mgr, "replay_idle")
+        inst.on_idle = lambda: self._send(self.q_mgr, "replay_idle")
         inst.enter_replay(self.secondary_queue)
 
     def _activate(self) -> None:
@@ -516,13 +467,13 @@ class MigrationManager:
 
     def _freeze_target(self) -> None:
         self.target_instance.freeze_replay(
-            lambda _inst: self._send(self.q_mgr, "frozen"))
+            lambda: self._send(self.q_mgr, "frozen"))
 
     def _finish_replay(self) -> None:
         self.target_instance.finish_replay(
             self.record.watermark, MAIN_QUEUE, self._target_switched)
 
-    def _target_switched(self, _target: ServiceInstance) -> None:
+    def _target_switched(self) -> None:
         self.enter_phase(Phase.FINALIZATION)
         self._send(self.q_mgr, "switched")
 

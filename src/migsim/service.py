@@ -221,7 +221,9 @@ class ServiceInstance:
     fully unapplied and still buffered for redelivery.
 
     Hooks (all optional): on_mode_change(instance, old, new) after every mode
-    change, on_idle(instance) when a drained queue leaves nothing to poll.
+    change, on_idle() when a drained queue leaves nothing to poll. The
+    callbacks of freeze_replay, finish_replay and request_stop, like on_idle,
+    take no argument.
     """
 
     def __init__(self, instance_id: str, state: ServiceState,
@@ -275,12 +277,12 @@ class ServiceInstance:
         return self._pending is not None
 
     def _attach(self, queue: str, mode: Mode, on_attached=None) -> None:
-        self.broker.subscribe(queue, self.instance_id, on_wake=self._on_wake)
+        self.broker.subscribe(queue, self.instance_id, on_wake=self._try_next)
         self._queue = queue
         self._set_mode(mode)
         self._idle = False
         if on_attached is not None:
-            on_attached(self)
+            on_attached()
         self._try_next()
 
     def _leave(self, mode: Mode) -> None:
@@ -350,16 +352,16 @@ class ServiceInstance:
 
     def freeze_replay(self, on_frozen) -> None:
         """Stop pulling from the replay queue. If a message is in flight its
-        completion still applies (suppressed); on_frozen(instance) fires once
+        completion still applies (suppressed); on_frozen() fires once
         the instance is quiescent."""
         self._require(Mode.REPLAYING)
         self._frozen = True
-        self._when_quiescent(lambda: on_frozen(self))
+        self._when_quiescent(on_frozen)
 
     def finish_replay(self, watermark: int, main_queue: str, on_switched) -> None:
         """Replay the remaining backlog up to and including watermark, then
         switch: unsubscribe the replay queue, subscribe main_queue, enable
-        outputs. on_switched(instance) fires at the switchover instant.
+        outputs. on_switched() fires at the switchover instant.
 
         A watermark below what was already applied would mean suppressed
         outputs can never be emitted; that is refused.
@@ -375,13 +377,13 @@ class ServiceInstance:
 
     def request_stop(self, on_stopped) -> None:
         """Finish any in-flight message, then detach and stop. Used for the
-        source side of a handoff; on_stopped(instance) fires once stopped,
+        source side of a handoff; on_stopped() fires once stopped,
         with state.last_processed_id as the watermark value."""
         self._require(Mode.SERVING)
 
         def stop_then_report():
             self._leave(Mode.STOPPED)
-            on_stopped(self)
+            on_stopped()
 
         self._when_quiescent(stop_then_report)
 
@@ -398,9 +400,6 @@ class ServiceInstance:
         self.crashed = True
 
     # -- consumption ---------------------------------------------------------
-
-    def _on_wake(self, _queue_name: str) -> None:
-        self._try_next()
 
     def _try_next(self) -> None:
         # detached (Paused, Stopped), busy, or a frozen replay: nothing to do
@@ -467,4 +466,4 @@ class ServiceInstance:
         if not self._idle:
             self._idle = True
             if self.on_idle is not None:
-                self.on_idle(self)
+                self.on_idle()

@@ -67,7 +67,13 @@ class SimParams:
     shadow: bool = False
     delivery_latency_ms: float = param(0.0, minimum=0.0)
 
-    __post_init__ = check
+    def __post_init__(self):
+        check(self)
+        # the manager compares techniques by identity, so a bare name would
+        # run a mix of both protocols and never finish the record
+        if not isinstance(self.technique, (Technique, type(None))):
+            raise ValueError("SimParams.technique: must be a Technique or "
+                             f"None, got {self.technique!r}")
 
 
 @dataclass(frozen=True)

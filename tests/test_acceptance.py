@@ -11,9 +11,8 @@ from pathlib import Path
 from migsim.broker import Broker
 from migsim.cli import main
 from migsim.config import load_scenario
-from migsim.harness import compare, export_csv, run_experiment
-from migsim.migration import (HandoffPolicy, Outcome, Phase, Technique,
-                              compute_metrics)
+from migsim.harness import compare, export_csv, row_from_record, run_experiment
+from migsim.migration import HandoffPolicy, Outcome, Phase, Technique
 from migsim.sim import FaultSpec, SimParams, Simulation
 from migsim.simnet import Host, Link, SimClock
 from migsim.workload import WorkloadSpec, replay_stress_spec, settings_payload
@@ -123,10 +122,9 @@ def test_acceptance_3_downtime_ordering():
         ms = Simulation(SimParams(technique=Technique.MS2M, **common)).run()
         sc = Simulation(SimParams(technique=Technique.STOP_AND_COPY,
                                   **common)).run()
-        m = compute_metrics(ms.record)
-        s = compute_metrics(sc.record)
-        overlap = (m.phase_ms[Phase.TRANSFER.value]
-                   + m.phase_ms[Phase.RESTORATION.value])
+        m = row_from_record(0, ms.record)
+        s = row_from_record(0, sc.record)
+        overlap = m.transfer_ms + m.restoration_ms
         diff = s.downtime_paused_ms - m.downtime_paused_ms
         good = m.downtime_paused_ms <= s.downtime_paused_ms
         good &= abs(diff - overlap) <= 1e-6

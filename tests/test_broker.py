@@ -102,7 +102,7 @@ def test_wake_fires_after_delivery_latency():
     broker = Broker(clock, delivery_latency_ms=2.5)
     broker.create_queue("q")
     wakes = []
-    broker.subscribe("q", "c", on_wake=lambda name: wakes.append(clock.now))
+    broker.subscribe("q", "c", on_wake=lambda: wakes.append(clock.now))
     clock.schedule(10.0, lambda: broker.publish("q", b"m"))
     clock.run_until()
     assert wakes == [12.5]
@@ -113,7 +113,7 @@ def test_wake_not_duplicated_for_burst_publishes():
     broker = Broker(clock)
     broker.create_queue("q")
     wakes = []
-    broker.subscribe("q", "c", on_wake=lambda name: wakes.append(clock.now))
+    broker.subscribe("q", "c", on_wake=lambda: wakes.append(clock.now))
 
     def burst():
         broker.publish("q", b"a")
@@ -130,27 +130,27 @@ def test_subscribe_to_nonempty_queue_wakes(broker):
     broker.create_queue("q")
     broker.publish("q", b"m")
     wakes = []
-    broker.subscribe("q", "c", on_wake=lambda name: wakes.append(name))
+    broker.subscribe("q", "c", on_wake=lambda: wakes.append(clock.now))
     clock.run_until()
-    assert wakes == ["q"]
+    assert wakes == [0.0]
 
 
 def test_ack_with_messages_queued_schedules_no_wake(broker):
     clock = broker.clock
     broker.create_queue("q")
     wakes = []
-    broker.subscribe("q", "c", on_wake=wakes.append)
+    broker.subscribe("q", "c", on_wake=lambda: wakes.append(clock.now))
     broker.publish("q", b"one")
     broker.publish("q", b"two")
     clock.run_until()
-    assert wakes == ["q"]
+    assert wakes == [0.0]
     msg = broker.poll("q", "c")
     before = clock.pending()
     broker.ack("q", "c", msg.id)
     # the acking consumer polls again itself; a wake would reach it busy
     assert clock.pending() == before == 0
     clock.run_until()
-    assert wakes == ["q"]
+    assert wakes == [0.0]
     assert broker.poll("q", "c").id == 2
 
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from migsim.cli import main
-from migsim.config import (ConfigError, SCHEMA_VERSION, ScenarioConfig,
-                           effective_params, load_scenario, parse_scenario)
+from migsim.config import (ConfigError, MAX_TRIALS, SCHEMA_VERSION,
+                           ScenarioConfig, effective_params, load_scenario,
+                           parse_scenario)
 from migsim.harness import (CSV_COLUMNS, TrialRow, compare, export_csv,
                             load_csv, run_experiment)
 from migsim.migration import HandoffPolicy, Technique
@@ -219,7 +220,7 @@ def test_parse_collects_every_error():
     doc["migration"]["check_interval_ms"] = 1
     config = parse_scenario(doc)
     assert config.workload.payload_size_bytes == 1 << 20
-    assert config.policy.check_interval_ms == 1
+    assert config.params[Technique.MS2M].policy.check_interval_ms == 1
 
     # a stream over a million messages is refused before anything allocates
     # it; the cap itself passes
@@ -340,6 +341,22 @@ def test_effective_params_per_trial_seeds():
     q4 = effective_params(pinned, Technique.MS2M, trial=4)
     assert q0.workload.seed == q4.workload.seed == 11
     assert q0.seed == 3 and q4.seed == 7
+
+
+def test_adjusted_config_reaches_every_cell():
+    # perfbench adjusts a loaded scenario this way; the config holds the one
+    # copy of the workload and seed that every cell starts from
+    config = parse_scenario(_doc())
+    workload = WorkloadSpec("Poisson", 25, 2000)
+    adjusted = dataclasses.replace(config, workload=workload, seed=40,
+                                   trials=1)
+    for tech in (Technique.MS2M, Technique.STOP_AND_COPY):
+        params = effective_params(adjusted, tech, trial=2)
+        assert params.seed == 42
+        assert params.workload == dataclasses.replace(workload, seed=42)
+    rows = run_experiment(adjusted)
+    assert [(r.trial, r.technique) for r in rows] == [
+        (0, "MS2M"), (0, "StopAndCopy")]
 
 
 def test_load_scenario_errors(tmp_path):
@@ -541,6 +558,18 @@ def test_cli_validate(tmp_path, capsys):
                                 "phase": {"name": "MessageReplay"}})
     assert main(["validate", str(_write_scenario(tmp_path, doc))]) == 1
     assert "fault.phase: must be a phase name" in capsys.readouterr().err
+
+
+def test_trials_are_capped(tmp_path, capsys):
+    # every row is kept in memory until the CSV is written
+    scenario = _write_scenario(tmp_path, _doc(trials=10**12))
+    assert main(["validate", str(scenario)]) == 1
+    assert main(["run", str(scenario), "--trials", str(MAX_TRIALS + 1),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"trials: must be <= {MAX_TRIALS}"] * 2
+    assert MAX_TRIALS == 10_000
+    assert parse_scenario(_doc(trials=MAX_TRIALS)).trials == MAX_TRIALS
 
 
 def test_cli_validate_unreadable_document_exits_one(tmp_path, capsys):

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from migsim.harness import row_from_record
 from migsim.migration import (Decision, HandoffPolicy, MigrationRecord,
                               Outcome, Phase, PhaseSpan, Technique,
-                              compute_metrics, decide_handoff)
+                              decide_handoff)
 from migsim.service import Mode, ProtocolError, UnknownCommand
 from migsim.sim import FaultSpec, SimParams, Simulation
 from migsim.simnet import Host, Link, SimError
@@ -102,12 +103,12 @@ def test_metrics_oracle_live_migration():
             _span(Phase.REPLAY, 75, 80),
             _span(Phase.FINALIZATION, 80, 80),
         ])
-    m = compute_metrics(rec)
+    m = row_from_record(0, rec)
     assert m.total_ms == 80.0
     assert m.downtime_paused_ms == 35.0       # pause + checkpoint + continuation
     assert m.downtime_strict_ms == 20.0       # checkpoint alone
-    assert m.downtime_pause_checkpoint_transfer_ms == 50.0
-    assert m.phase_ms[Phase.REPLAY.value] == 5.0
+    assert m.pause_ms + m.checkpoint_ms + m.transfer_ms == 50.0
+    assert m.replay_ms == 5.0
 
 
 def test_metrics_oracle_stop_and_copy():
@@ -120,11 +121,11 @@ def test_metrics_oracle_stop_and_copy():
             _span(Phase.RESTORATION, 55, 78),
             _span(Phase.FINALIZATION, 78, 80),
         ])
-    m = compute_metrics(rec)
+    m = row_from_record(0, rec)
     # the service never resumed, so it was down for the whole migration
     assert m.downtime_paused_ms == 80.0
     assert m.downtime_strict_ms == 20.0
-    assert m.downtime_pause_checkpoint_transfer_ms == 55.0
+    assert m.pause_ms + m.checkpoint_ms + m.transfer_ms == 55.0
 
 
 def test_metrics_never_resumed_live_migration():
@@ -134,13 +135,13 @@ def test_metrics_never_resumed_live_migration():
         outcome=Outcome.ABORTED_SOURCE_CRASH, completed_at=12.0,
         phase_timeline=[_span(Phase.PAUSE, 0, 10),
                         _span(Phase.CHECKPOINT, 10, 12)])
-    assert compute_metrics(rec).downtime_paused_ms == 12.0
+    assert row_from_record(0, rec).downtime_paused_ms == 12.0
 
 
 def test_metrics_require_finished_record():
     rec = MigrationRecord(Technique.MS2M, "m", 0.0)
     with pytest.raises(ValueError):
-        compute_metrics(rec)
+        row_from_record(0, rec)
 
 
 # -- end-to-end runs -------------------------------------------------------------
@@ -190,6 +191,17 @@ def test_simulation_guards():
     sim.broker.publish(sim.manager.q_mgr, b"teleport")
     with pytest.raises(ProtocolError, match="teleport"):
         sim.clock.run_until()
+
+
+def test_technique_must_be_a_technique():
+    # a bare name would take the MS2M branch in some steps and StopAndCopy
+    # states in others, and end with an unfinished record
+    with pytest.raises(ValueError) as err:
+        _mk(technique="StopAndCopy")
+    assert str(err.value) == ("SimParams.technique: must be a Technique or "
+                              "None, got 'StopAndCopy'")
+    for technique in (None, Technique.STOP_AND_COPY):
+        assert _mk(technique=technique).technique is technique
 
 
 def test_unknown_command_reports_where_it_was_met():
@@ -359,15 +371,15 @@ def test_downtime_orderings_and_difference_identity():
                       continuation_ms=rng.uniform(0, 50), trigger_ms=800.0)
         ms = _run(SimParams(technique=Technique.MS2M, **common))
         sc = _run(SimParams(technique=Technique.STOP_AND_COPY, **common))
-        m, s = compute_metrics(ms.record), compute_metrics(sc.record)
+        m, s = row_from_record(0, ms.record), row_from_record(0, sc.record)
+        pct = m.pause_ms + m.checkpoint_ms + m.transfer_ms
         assert m.downtime_strict_ms <= m.downtime_paused_ms
-        assert m.downtime_strict_ms <= m.downtime_pause_checkpoint_transfer_ms
+        assert m.downtime_strict_ms <= pct
         assert s.downtime_paused_ms == s.total_ms
-        assert s.downtime_paused_ms >= m.downtime_pause_checkpoint_transfer_ms
+        assert s.downtime_paused_ms >= pct
         # the entire saving is overlapping transfer + restore with service
         diff = s.downtime_paused_ms - m.downtime_paused_ms
-        overlap = (m.phase_ms[Phase.TRANSFER.value]
-                   + m.phase_ms[Phase.RESTORATION.value])
+        overlap = m.transfer_ms + m.restoration_ms
         assert diff == pytest.approx(overlap, abs=1e-6)
 
 

@@ -203,7 +203,7 @@ def test_processing_delay_times_output_emission():
     clock, broker, inst = _rig(processing_ms=4.0)
     emitted = []
     broker.subscribe("out", "probe",
-                     on_wake=lambda q: emitted.append(clock.now))
+                     on_wake=lambda: emitted.append(clock.now))
     inst.start_serving("in")
     clock.schedule_at(10.0, lambda: broker.publish("in", b"add n 1"))
     clock.run_until()
@@ -319,7 +319,7 @@ def test_freeze_replay_waits_for_in_flight():
 
         def freeze():
             assert twin.busy               # id 2 mid-processing
-            twin.freeze_replay(lambda _i: frozen_at.append(clock.now))
+            twin.freeze_replay(lambda: frozen_at.append(clock.now))
 
         # source ran until t=3; twin polled id 2 there, completion lands at 6
         clock.schedule_at(4.0, freeze)
@@ -353,7 +353,7 @@ def test_finish_replay_refuses_watermark_below_applied():
     broker.create_queue("in.sec")
     twin.enter_replay("in.sec")
     with pytest.raises(ProtocolError):
-        twin.finish_replay(1, "in", lambda _i: None)
+        twin.finish_replay(1, "in", lambda: None)
 
 
 def test_finish_replay_switches_to_main_at_watermark():
@@ -369,7 +369,7 @@ def test_finish_replay_switches_to_main_at_watermark():
     twin = ServiceInstance.restore(cp, clock, broker, 1.0, "out", "i2")
     twin.enter_replay("in.sec")
     switched = []
-    twin.finish_replay(1, "in", lambda _i: switched.append(clock.now))
+    twin.finish_replay(1, "in", lambda: switched.append(clock.now))
     clock.run_until()
     assert switched == [1.0]
     assert twin.mode is Mode.SERVING
@@ -390,8 +390,8 @@ def test_request_stop_finishes_in_flight_first():
         stopped = []
         clock.schedule_at(
             1.0, lambda: inst.request_stop(
-                lambda i: stopped.append(
-                    (clock.now, i.state.last_processed_id))))
+                lambda: stopped.append(
+                    (clock.now, inst.state.last_processed_id))))
         if crash_at is not None:
             clock.schedule_at(crash_at, inst.crash)
         clock.run_until()
@@ -413,7 +413,7 @@ def test_request_stop_immediate_when_idle():
     clock, broker, inst = _rig()
     inst.start_serving("in")
     stopped = []
-    inst.request_stop(lambda i: stopped.append(clock.now))
+    inst.request_stop(lambda: stopped.append(clock.now))
     assert stopped == [0.0]
     assert inst.mode is Mode.STOPPED
 
@@ -436,7 +436,7 @@ def test_crash_releases_in_flight_unapplied():
 def test_idle_hook_edge_triggered():
     clock, broker, inst = _rig(processing_ms=1.0)
     idles = []
-    inst.on_idle = lambda _i: idles.append(clock.now)
+    inst.on_idle = lambda: idles.append(clock.now)
     inst.start_serving("in")
     clock.run_until()
     assert idles == [0.0]
