@@ -215,6 +215,12 @@ class Broker:
         q._wake_pending = False
         q.inflight = None
 
+    def detach_wakes(self) -> None:
+        """Drop every subscriber's wake callback. Subscriptions and buffers
+        stay as they are, but no publish wakes anyone any more."""
+        for q in self._queues.values():
+            q._wake = None
+
     def _notify(self, q: Queue) -> None:
         if (q.subscriber is None or q._wake is None or q._wake_pending
                 or q.inflight is not None or not q._messages):

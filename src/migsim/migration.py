@@ -504,8 +504,13 @@ class MigrationManager:
         self._prev_counts = (sec.published_total,
                              self.target_instance.replayed_count)
         self._streak = 0
-        self._monitor_event = self._after(self.policy.check_interval_ms,
-                                          "check_due")
+        self._monitor_event = self.clock.schedule(
+            self.policy.check_interval_ms, self._check_due)
+
+    def _check_due(self) -> None:
+        # a fired check is dropped at once: its callback holds the manager
+        self._monitor_event = None
+        self._on_event("check_due")
 
     def _periodic_check(self) -> None:
         sec = self.broker.queue(self.secondary_queue)
@@ -519,7 +524,7 @@ class MigrationManager:
         else:
             self._streak = 0
         if self._decide() is Decision.CONTINUE:
-            self._monitor_event = self._after(dt, "check_due")
+            self._monitor_event = self.clock.schedule(dt, self._check_due)
 
     def _decide(self) -> Decision:
         backlog = len(self.broker.queue(self.secondary_queue))

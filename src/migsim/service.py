@@ -462,6 +462,13 @@ class ServiceInstance:
         else:
             self._try_next()
 
+    def detach_hooks(self) -> None:
+        """Drop the hooks and any step waiting on a completion, so that the
+        instance holds no callback into its owners. Mode, state and counters
+        stay readable."""
+        self.on_mode_change = self.on_idle = None
+        self._then = self._handoff = None
+
     def _mark_idle(self) -> None:
         if not self._idle:
             self._idle = True

@@ -1,8 +1,13 @@
 """One simulated run: broker, workload, a serving instance, and optionally a
 migration driven by a MigrationManager, plus fault injection.
 
-Everything is wired at construction; run() executes the event loop to
-exhaustion and assembles a SimResult. A (params, seed) pair fully determines
+Everything is wired at construction, except that the arrival stream is fed
+to the clock one message at a time (SimClock.feed), so the event heap holds
+only the next arrival rather than the whole stream. run() executes the event
+loop to exhaustion, detaches every callback the run set up (pending events,
+broker wakes, instance hooks), even when the loop raises, and assembles a
+SimResult. A finished or failed run therefore holds no reference cycle and
+is freed by reference counting alone. A (params, seed) pair fully determines
 the run: identical inputs give byte-identical outputs and final state.
 
 The Simulation owns the clock, the broker, the source instance and the mode
@@ -51,6 +56,10 @@ class FaultSpec:
 
 @dataclass
 class SimParams:
+    """Everything one run needs. stream, when given instead of a workload,
+    is a list of (time_ms, payload) arrivals; it may be unsorted, and
+    arrivals at equal times are published in list order."""
+
     source_host: Host
     target_host: Host
     link: Link
@@ -86,6 +95,10 @@ class ModeTransition:
 
 @dataclass
 class SimResult:
+    """What a run produced. source and target are the run's instances, with
+    their hooks detached: mode, state and counters are as the run left
+    them."""
+
     outputs: list[bytes]
     final_state: bytes | None
     record: MigrationRecord | None
@@ -123,9 +136,7 @@ class Simulation:
         stream = params.stream
         if stream is None:
             stream = generate(params.workload) if params.workload else []
-        publish = self.broker.publish
-        for t, payload in stream:
-            self.clock.schedule_at(t, partial(publish, MAIN_QUEUE, payload))
+        self.clock.feed(stream, partial(self.broker.publish, MAIN_QUEUE))
 
         self.manager: MigrationManager | None = None
         if params.technique is not None:
@@ -157,7 +168,17 @@ class Simulation:
         if self._ran:
             raise SimError("a Simulation can only run once")
         self._ran = True
-        self.clock.run_until()
+        try:
+            self.clock.run_until()
+        finally:
+            # break every cycle the run's callbacks form, finished or failed:
+            # pending events and the rest of the feed, broker wakes (control
+            # endpoints included) and the instances' hooks
+            self.clock.clear()
+            self.broker.detach_wakes()
+            self.source.detach_hooks()
+            if self.manager and self.manager.target_instance:
+                self.manager.target_instance.detach_hooks()
 
         record = self.manager.record if self.manager is not None else None
         target = self.manager.target_instance if self.manager else None

@@ -11,6 +11,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .rules import check, param
 
@@ -36,6 +37,10 @@ class SimClock:
     sequence number is the tie-breaker, which makes the event order total
     and repeat runs bit-identical. Heap entries are (time, seq, event)
     tuples; seq is unique, so ordering never compares two events.
+
+    A stream given to feed() fires as if every arrival had been scheduled
+    before any other event, but only the next arrival is on the heap at a
+    time, so the heap holds what is in flight rather than the whole stream.
     """
 
     def __init__(self) -> None:
@@ -43,6 +48,9 @@ class SimClock:
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self.events_processed = 0
+        self._feed: list[tuple[float, object]] | None = None
+        self._feed_fn = None
+        self._fed = 0  # arrivals of the feed put on the heap so far
 
     def schedule(self, delay_ms: float, fn) -> Event:
         """Schedule fn() to run delay_ms from now. Negative delays are refused."""
@@ -53,20 +61,77 @@ class SimClock:
     def schedule_at(self, time_ms: float, fn) -> Event:
         # NaN fails both comparisons, and an event at inf would end the run there
         if not self.now <= time_ms < math.inf:
-            if time_ms < self.now:
-                raise SimError(
-                    f"cannot schedule into the past ({time_ms} < {self.now})")
-            raise SimError(f"cannot schedule at a non-finite time ({time_ms})")
+            self._refuse(time_ms)
         ev = Event(fn)
         heapq.heappush(self._heap, (time_ms, self._seq, ev))
         self._seq += 1
         return ev
 
+    def _refuse(self, time_ms: float):
+        if time_ms < self.now:
+            raise SimError(
+                f"cannot schedule into the past ({time_ms} < {self.now})")
+        raise SimError(f"cannot schedule at a non-finite time ({time_ms})")
+
+    def feed(self, items, fn) -> None:
+        """Call fn(item) at time_ms for each (time_ms, item) pair of items.
+
+        items may be unsorted: they fire in time order, and equal times keep
+        their list order. Every time is checked here, with schedule_at's
+        messages, so a bad stream fails before the run. An arrival fires
+        before any other event at the same time, exactly as if the whole
+        stream had been scheduled first; each still enters the heap through
+        schedule_at, one at a time, and counts as an event. A clock takes
+        one feed at a time.
+        """
+        if self._feed is not None:
+            raise SimError("the clock is already feeding a stream")
+        items = list(items)
+        for time_ms, _ in items:
+            if not self.now <= time_ms < math.inf:
+                self._refuse(time_ms)
+        if items:
+            items.sort(key=itemgetter(0))  # stable: equal times keep order
+            self._feed, self._feed_fn, self._fed = items, fn, 0
+            self._schedule_arrival()
+
+    def _schedule_arrival(self) -> None:
+        # seq -1 sorts below every regular event; only one arrival is on the
+        # heap at a time, so no two entries ever share it. feed() checked the
+        # time, so schedule_at cannot raise between the swaps.
+        seq, self._seq = self._seq, -1
+        self.schedule_at(self._feed[self._fed][0], self._arrive)
+        self._seq = seq
+        self._fed += 1
+
+    def _arrive(self) -> None:
+        item = self._feed[self._fed - 1][1]
+        fn = self._feed_fn
+        if self._fed < len(self._feed):
+            self._schedule_arrival()
+        else:
+            self._feed = self._feed_fn = None
+        fn(item)
+
     def cancel(self, event: Event) -> None:
+        """The event will not fire; its callback is dropped at once."""
         event.cancelled = True
+        event.fn = None
 
     def pending(self) -> int:
-        return sum(1 for _, _, ev in self._heap if not ev.cancelled)
+        """Events still to fire, counting the feed's arrivals not yet on the
+        heap."""
+        unfed = len(self._feed) - self._fed if self._feed is not None else 0
+        return unfed + sum(1 for _, _, ev in self._heap if not ev.cancelled)
+
+    def clear(self) -> None:
+        """Cancel every pending event and drop the rest of the feed, so that
+        no callback the clock holds keeps its owner alive."""
+        for _, _, ev in self._heap:
+            ev.cancelled = True
+            ev.fn = None
+        self._heap.clear()
+        self._feed = self._feed_fn = None
 
     def run_until(self, max_events: int = 10_000_000) -> float:
         """Run events in order until the queue drains. Returns the final time.

@@ -1,5 +1,8 @@
 import dataclasses
+import functools
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -187,10 +190,14 @@ def test_simulation_guards():
     sim.run()
     with pytest.raises(SimError):
         sim.run()
-    # a control event the migration protocol does not know is refused
-    sim.broker.publish(sim.manager.q_mgr, b"teleport")
+    # a control event the migration protocol does not know is refused; the
+    # control queues exist from the trigger on, and a finished run has its
+    # endpoints detached, so the stray event is sent mid-run
+    sim = Simulation(_mk())
+    sim.clock.schedule_at(sim.params.trigger_ms, functools.partial(
+        sim.broker.publish, sim.manager.q_mgr, b"teleport"))
     with pytest.raises(ProtocolError, match="teleport"):
-        sim.clock.run_until()
+        sim.run()
 
 
 def test_technique_must_be_a_technique():
@@ -497,6 +504,58 @@ def test_source_crash_without_migration():
     assert res.final_state is None
     assert 0 < len(res.outputs) < len(control.outputs)
     assert res.outputs == control.outputs[:len(res.outputs)]
+
+
+# one cell of each kind, with the outcome it must reach ("raises": the run
+# itself raises UnknownCommand)
+CELL_KINDS = {
+    "ms2m": (dict(), Outcome.COMPLETED),
+    "stop_and_copy": (dict(technique=Technique.STOP_AND_COPY),
+                      Outcome.COMPLETED),
+    "divergence": (dict(workload=replay_stress_spec(1.5, 100),
+                        processing=10.0, latency=20.0),
+                   Outcome.ABORTED_DIVERGENCE),
+    "source_crash": (dict(fault=FaultSpec(phase="MessageReplay",
+                                          offset_ms=0.5)),
+                     Outcome.ABORTED_SOURCE_CRASH),
+    "no_technique": (dict(technique=None, trigger_ms=None), None),
+    "unknown_command": (dict(workload=None, stream=[(1.0, b"frob x"),
+                                                    (5.0, b"add a 1")]),
+                        "raises"),
+}
+
+
+def _run_and_drop(params):
+    """Run a cell, drop everything it returned, and return weak references
+    to its broker and clock together with how it ended."""
+    sim = Simulation(params)
+    refs = (weakref.ref(sim.broker), weakref.ref(sim.clock))
+    try:
+        res = sim.run()
+    except UnknownCommand:
+        ended = "raises"
+    else:
+        ended = res.record.outcome if res.record is not None else None
+        del res
+    del sim
+    return refs, ended
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_finished_run_is_freed_without_the_cycle_collector(kind):
+    # a run detaches every callback it set up, so once its result is
+    # dropped, reference counting alone frees it: nothing is left for the
+    # cycle collector, and the run's memory comes back at once
+    overrides, outcome = CELL_KINDS[kind]
+    gc.collect()
+    gc.disable()
+    try:
+        refs, ended = _run_and_drop(_mk(**overrides))
+        assert ended == outcome
+        assert [ref() for ref in refs] == [None, None]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("technique",

@@ -1,4 +1,6 @@
+import gc
 import struct
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -407,6 +409,29 @@ def test_request_stop_finishes_in_flight_first():
     assert stopped == []
     assert inst.applied_count == 0
     assert broker.queue("in").ids() == [1]
+
+
+def test_detached_instance_is_freed_without_the_cycle_collector():
+    # a run that fails while a stop waits on the in-flight message leaves
+    # that step behind; detach_hooks drops it with the hooks, so once the
+    # clock and the broker let go too, reference counting frees the instance
+    gc.collect()
+    gc.disable()
+    try:
+        clock, broker, inst = _rig(processing_ms=4.0)
+        broker.publish("in", b"add n 1")
+        inst.start_serving("in")
+        inst.request_stop(lambda: None)
+        assert inst.busy and inst.mode is Mode.SERVING
+        ref = weakref.ref(inst)
+        clock.clear()
+        broker.detach_wakes()
+        inst.detach_hooks()
+        del clock, broker, inst
+        assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_request_stop_immediate_when_idle():

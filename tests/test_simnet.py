@@ -140,6 +140,82 @@ def test_event_ordering_is_total():
     assert fired == ["early", 0, 1, 3, 4, "nested"]
 
 
+# -- feeding a stream ---------------------------------------------------------
+
+GRID = st.sampled_from([0.0, 1.0, 1.5, 3.0])
+
+
+def _drive(stream, extras, feed):
+    """Fire stream and the extra events on a fresh clock, either through
+    feed() or, as the reference, with one schedule_at per item up front.
+    Each arrival may schedule a follow-up at a time colliding with others."""
+    clock = SimClock()
+    fired = []
+
+    def arrive(item):
+        i, delay = item
+        fired.append(("arrival", i, clock.now))
+        if delay is not None:
+            clock.schedule(delay, lambda: fired.append(("then", i, clock.now)))
+
+    if feed:
+        clock.feed(stream, arrive)
+    else:
+        for t, item in stream:
+            clock.schedule_at(t, lambda item=item: arrive(item))
+    for j, t in enumerate(extras):
+        clock.schedule_at(t, lambda j=j: fired.append(("extra", j, clock.now)))
+    pending = clock.pending()
+    clock.run_until()
+    return fired, clock.events_processed, pending
+
+
+@given(st.lists(st.tuples(GRID, st.one_of(st.none(), GRID)), max_size=40),
+       st.lists(GRID, max_size=8))
+def test_feed_fires_like_scheduling_every_arrival_up_front(arrivals, extras):
+    stream = [(t, (i, delay)) for i, (t, delay) in enumerate(arrivals)]
+    fed = _drive(stream, extras, feed=True)
+    assert fed == _drive(stream, extras, feed=False)
+    assert fed[2] == len(stream) + len(extras)
+
+
+def test_feed_keeps_only_the_next_arrival_on_the_heap():
+    clock = SimClock()
+    seen = []
+    clock.feed([(float(t), t) for t in range(1000, 0, -1)], seen.append)
+    assert clock.pending() == 1000 and len(clock._heap) == 1
+    clock.run_until()
+    assert seen == list(range(1, 1001)) and clock.events_processed == 1000
+    assert clock.pending() == 0
+
+
+def test_feed_checks_every_time_up_front():
+    clock = SimClock()
+    clock.schedule(10.0, lambda: None)
+    clock.run_until()
+    for stream, message in (
+            ([(12.0, "a"), (5.0, "b")], r"into the past \(5\.0 < 10\.0\)"),
+            ([(12.0, "a"), (math.nan, "b")], r"non-finite time \(nan\)"),
+            ([(math.inf, "a")], r"non-finite time \(inf\)")):
+        with pytest.raises(SimError, match=message):
+            clock.feed(stream, print)
+        assert clock.pending() == 0
+    clock.feed([(11.0, "a")], print)
+    with pytest.raises(SimError, match="already feeding"):
+        clock.feed([(12.0, "b")], print)
+
+
+def test_clear_drops_pending_events_and_the_feed():
+    clock = SimClock()
+    seen = []
+    clock.feed([(1.0, "a"), (2.0, "b")], seen.append)
+    ev = clock.schedule(1.0, lambda: seen.append("event"))
+    clock.clear()
+    assert clock.pending() == 0 and ev.cancelled and ev.fn is None
+    clock.run_until()
+    assert seen == [] and clock.events_processed == 0
+
+
 # -- hosts, links and cost models -------------------------------------------
 
 
