@@ -87,7 +87,7 @@ class Queue:
 
     def _fire_wake(self) -> None:
         self._wake_pending = False
-        if self.subscriber is not None and self._wake is not None:
+        if self._wake is not None:
             self._wake()
 
 
@@ -222,7 +222,7 @@ class Broker:
             q._wake = None
 
     def _notify(self, q: Queue) -> None:
-        if (q.subscriber is None or q._wake is None or q._wake_pending
+        if (q._wake is None or q._wake_pending
                 or q.inflight is not None or not q._messages):
             return
         q._wake_pending = True

@@ -73,7 +73,7 @@ def row_from_record(trial: int, record: MigrationRecord) -> TrialRow:
                 for phase, col in _PHASE_COLUMNS.items()}
     resumed = any(s.name == Phase.CONTINUATION.value
                   for s in record.phase_timeline)
-    if record.technique is Technique.MS2M and resumed:
+    if resumed:
         paused = (phase_ms["pause_ms"] + phase_ms["checkpoint_ms"]
                   + phase_ms["continuation_ms"])
     else:

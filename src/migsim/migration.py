@@ -111,17 +111,18 @@ class MigrationRecord:
         return sum(s.duration_ms for s in self.phase_timeline
                    if s.name == phase.value)
 
-    def validate_timeline(self, tolerance_ms: float = 1e-6) -> None:
-        """Spans must tile the record, and no phase may be entered twice: a
-        phase fault is scheduled on entry, so this invariant is what keeps
-        it to one firing."""
+    def validate_timeline(self) -> None:
+        """Spans must tile the record exactly, each starting at the instant
+        the previous one ended, and no phase may be entered twice: a phase
+        fault is scheduled on entry, so this invariant is what keeps it to
+        one firing."""
         prev_end = None
         seen: set[str] = set()
         for span in self.phase_timeline:
             if span.name in seen:
                 raise ProtocolError(f"phase {span.name} entered twice")
             seen.add(span.name)
-            if prev_end is not None and abs(span.start_ms - prev_end) > tolerance_ms:
+            if prev_end is not None and span.start_ms != prev_end:
                 raise ProtocolError(
                     f"phase {span.name} does not start where the previous "
                     f"phase ended ({span.start_ms} vs {prev_end})")
@@ -220,8 +221,9 @@ class State(enum.Enum):
 
 class MigrationManager:
     """Drives a single migration of one service between two hosts as one
-    state machine, reading hosts, link, costs, policy and fault from the
-    run's SimParams.
+    state machine, reading technique, hosts, link, costs, policy and fault
+    from the run's SimParams. Link jitter is drawn from its own
+    random.Random(params.seed), the run's only random draws.
 
     Every step is an event: either a control message, whose payload is the
     bare event name, delivered on one of three per-migration broker queues
@@ -269,13 +271,11 @@ class MigrationManager:
     q_tgt = f"ctl.{MIGRATION_ID}.tgt"
 
     def __init__(self, params: SimParams, clock: SimClock, broker: Broker,
-                 rng: random.Random, source: ServiceInstance):
+                 source: ServiceInstance):
         self.params = params
-        self.technique = params.technique
-        self.policy = params.policy
         self.clock = clock
         self.broker = broker
-        self.rng = rng
+        self.rng = random.Random(params.seed)  # draws only for link jitter
         self.source = source
 
         self.record: MigrationRecord | None = None
@@ -283,7 +283,6 @@ class MigrationManager:
         self.checkpoint: Checkpoint | None = None
         self.secondary_queue: str | None = None
         self.target_instance: ServiceInstance | None = None
-        self._spans: list[PhaseSpan] = []
         self._current_phase: tuple[Phase, float] | None = None
         self._replay_started_at = 0.0
         self._streak = 0
@@ -296,10 +295,9 @@ class MigrationManager:
         if self.state is not State.IDLE:
             raise ProtocolError("migration already started")
         self.record = MigrationRecord(
-            technique=self.technique,
+            technique=self.params.technique,
             migration_id=MIGRATION_ID,
             initiated_at=self.clock.now,
-            phase_timeline=self._spans,
         )
         if self.source.crashed or self.source.mode is not Mode.SERVING:
             self._finish(Outcome.ABORTED_SOURCE_CRASH)
@@ -321,11 +319,8 @@ class MigrationManager:
             self._finish(Outcome.ABORTED_SOURCE_CRASH)
 
     def enter_phase(self, phase: Phase) -> None:
-        now = self.clock.now
-        if self._current_phase is not None:
-            name, start = self._current_phase
-            self._spans.append(PhaseSpan(name.value, start, now))
-        self._current_phase = (phase, now)
+        self._close_phases()
+        self._current_phase = (phase, self.clock.now)
         fault = self.params.fault
         if fault is not None and fault.phase == phase.value:
             self.clock.schedule(fault.offset_ms, self.crash_source)
@@ -333,7 +328,8 @@ class MigrationManager:
     def _close_phases(self) -> None:
         if self._current_phase is not None:
             name, start = self._current_phase
-            self._spans.append(PhaseSpan(name.value, start, self.clock.now))
+            self.record.phase_timeline.append(
+                PhaseSpan(name.value, start, self.clock.now))
             self._current_phase = None
 
     def _finish(self, outcome: Outcome) -> None:
@@ -409,7 +405,7 @@ class MigrationManager:
         cp = self.source.create_checkpoint()
         self.checkpoint = cp
         self.record.checkpoint_size_bytes = cp.size_bytes
-        if self.technique is Technique.STOP_AND_COPY:
+        if self.params.technique is Technique.STOP_AND_COPY:
             self.source.stop()
             self._send(self.q_mgr, "phase1_done")
             return
@@ -446,11 +442,10 @@ class MigrationManager:
         p = self.params
         inst = ServiceInstance.restore(
             self.checkpoint, self.clock, self.broker, p.processing_ms,
-            OUTPUT_QUEUE, instance_id=f"{SERVICE_ID}@{p.target_host.id}",
-            shadow=p.shadow)
+            OUTPUT_QUEUE, instance_id=f"{SERVICE_ID}@{p.target_host.id}")
         inst.on_mode_change = self.source.on_mode_change
         self.target_instance = inst
-        if self.technique is Technique.STOP_AND_COPY:
+        if p.technique is Technique.STOP_AND_COPY:
             # activation: the restored container still pays the unpause cost
             # before it can serve; it lands inside the restoration span
             self._after(p.continuation_ms, "activation_elapsed")
@@ -493,7 +488,7 @@ class MigrationManager:
     def _transferred(self) -> None:
         # a StopAndCopy source is stopped and its checkpoint has arrived:
         # its part is over
-        self.state = (State.RESTORE if self.technique is Technique.MS2M
+        self.state = (State.RESTORE if self.params.technique is Technique.MS2M
                       else State.HANDOFF)
         self._send(self.q_tgt, "restore_request")
 
@@ -505,7 +500,7 @@ class MigrationManager:
                              self.target_instance.replayed_count)
         self._streak = 0
         self._monitor_event = self.clock.schedule(
-            self.policy.check_interval_ms, self._check_due)
+            self.params.policy.check_interval_ms, self._check_due)
 
     def _check_due(self) -> None:
         # a fired check is dropped at once: its callback holds the manager
@@ -515,7 +510,7 @@ class MigrationManager:
     def _periodic_check(self) -> None:
         sec = self.broker.queue(self.secondary_queue)
         pub, rep = sec.published_total, self.target_instance.replayed_count
-        dt = self.policy.check_interval_ms
+        dt = self.params.policy.check_interval_ms
         arrival = (pub - self._prev_counts[0]) / dt * 1000.0
         processing = (rep - self._prev_counts[1]) / dt * 1000.0
         self._prev_counts = (pub, rep)
@@ -529,12 +524,13 @@ class MigrationManager:
     def _decide(self) -> Decision:
         backlog = len(self.broker.queue(self.secondary_queue))
         elapsed = self.clock.now - self._replay_started_at
-        decision = decide_handoff(backlog, elapsed, self.policy, self._streak)
+        policy = self.params.policy
+        decision = decide_handoff(backlog, elapsed, policy, self._streak)
         if decision is Decision.HANDOFF:
             self.state = State.FREEZE
             self._send(self.q_tgt, "freeze")
         elif decision is Decision.ABORT:
-            timeout = self.policy.replay_timeout_ms
+            timeout = policy.replay_timeout_ms
             self.record.abort_reason = (
                 "timeout" if timeout is not None and elapsed > timeout
                 else "overload")

@@ -215,8 +215,8 @@ class ServiceInstance:
 
     The instance consumes its subscribed queue one message at a time: a poll
     takes processing_ms of simulated time, after which the message is applied,
-    its outputs are published (Serving) or suppressed (Replaying), and the
-    delivery is acked. State changes and output emission happen together at
+    its outputs are published (Serving) or suppressed (Replaying: dropped,
+    and only counted in replayed_count), and the delivery is acked. State changes and output emission happen together at
     completion time, so a pause or crash before completion leaves the message
     fully unapplied and still buffered for redelivery.
 
@@ -228,7 +228,7 @@ class ServiceInstance:
 
     def __init__(self, instance_id: str, state: ServiceState,
                  clock: SimClock, broker: Broker, processing_ms: float,
-                 output_topic: str, shadow: bool = False):
+                 output_topic: str):
         if processing_ms < 0:
             raise ValueError("processing_ms must be >= 0")
         self.instance_id = instance_id
@@ -242,7 +242,6 @@ class ServiceInstance:
         self.replayed_count = 0
         self.rejected_count = 0
         self.applied_count = 0
-        self.shadow_outputs: list[bytes] | None = [] if shadow else None
         self.on_mode_change = None
         self.on_idle = None
         self._queue: str | None = None  # consumed as instance_id
@@ -336,13 +335,13 @@ class ServiceInstance:
 
     @classmethod
     def restore(cls, checkpoint: Checkpoint, clock: SimClock, broker: Broker,
-                processing_ms: float, output_topic: str, instance_id: str,
-                shadow: bool = False) -> "ServiceInstance":
+                processing_ms: float, output_topic: str,
+                instance_id: str) -> "ServiceInstance":
         """Rebuild an instance from a checkpoint. It comes up Paused with
         state bit-identical to what was frozen."""
         state = deserialize_state(checkpoint.snapshot)
         return cls(instance_id, state, clock, broker, processing_ms,
-                   output_topic, shadow=shadow)
+                   output_topic)
 
     def enter_replay(self, queue: str) -> None:
         """Consume queue with outputs suppressed. State advances; nothing is
@@ -453,8 +452,6 @@ class ServiceInstance:
                     self.broker.publish(self.output_topic, out)
             else:
                 self.replayed_count += 1
-                if self.shadow_outputs is not None:
-                    self.shadow_outputs.extend(outputs)
         self.broker.ack(self._queue, self.instance_id, msg.id)
         then, self._then = self._then, None
         if then is not None:

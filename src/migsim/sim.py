@@ -20,7 +20,6 @@ directly.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -73,7 +72,6 @@ class SimParams:
     policy: HandoffPolicy = field(default_factory=HandoffPolicy)
     seed: int = param(0, minimum=0, integer=True)
     fault: FaultSpec | None = None
-    shadow: bool = False
     delivery_latency_ms: float = param(0.0, minimum=0.0)
 
     def __post_init__(self):
@@ -83,6 +81,10 @@ class SimParams:
         if not isinstance(self.technique, (Technique, type(None))):
             raise ValueError("SimParams.technique: must be a Technique or "
                              f"None, got {self.technique!r}")
+        if self.technique is not None and self.trigger_ms is None:
+            raise ValueError("a technique needs a trigger_ms")
+        if self.stream is not None and self.workload is not None:
+            raise ValueError("give either a workload spec or a stream, not both")
 
 
 @dataclass(frozen=True)
@@ -107,18 +109,12 @@ class SimResult:
     remaining_main: int
     source: ServiceInstance
     target: ServiceInstance | None
-    shadow_outputs: list[bytes] | None
 
 
 class Simulation:
     def __init__(self, params: SimParams):
-        if params.technique is not None and params.trigger_ms is None:
-            raise ValueError("a technique needs a trigger_ms")
-        if params.stream is not None and params.workload is not None:
-            raise ValueError("give either a workload spec or a stream, not both")
         self.params = params
         self.clock = SimClock()
-        self.rng = random.Random(params.seed)
         self.broker = Broker(self.clock, params.delivery_latency_ms)
         self.broker.create_queue(MAIN_QUEUE)
         self.broker.create_queue(OUTPUT_QUEUE)
@@ -141,7 +137,7 @@ class Simulation:
         self.manager: MigrationManager | None = None
         if params.technique is not None:
             self.manager = MigrationManager(params, self.clock, self.broker,
-                                            self.rng, self.source)
+                                            self.source)
             self.clock.schedule_at(params.trigger_ms, self.manager.start)
 
         fault = params.fault
@@ -198,6 +194,4 @@ class Simulation:
             remaining_main=len(main),
             source=self.source,
             target=target,
-            shadow_outputs=(target.shadow_outputs if target is not None
-                            else None),
         )

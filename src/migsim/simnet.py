@@ -20,23 +20,15 @@ class SimError(Exception):
     pass
 
 
-class Event:
-    """A scheduled callback. Cancelled events stay in the heap but never fire."""
-
-    __slots__ = ("fn", "cancelled")
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.cancelled = False
-
-
 class SimClock:
     """Virtual millisecond clock over a deterministic event queue.
 
     Events with equal timestamps fire in scheduling order: the insertion
     sequence number is the tie-breaker, which makes the event order total
-    and repeat runs bit-identical. Heap entries are (time, seq, event)
-    tuples; seq is unique, so ordering never compares two events.
+    and repeat runs bit-identical. An event is its heap entry, a
+    [time, seq, fn] list; seq is unique, so ordering never compares two
+    callbacks. cancel() marks an entry removed by setting its fn to None,
+    and the loop skips it when it is popped.
 
     A stream given to feed() fires as if every arrival had been scheduled
     before any other event, but only the next arrival is on the heap at a
@@ -45,25 +37,25 @@ class SimClock:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[list] = []  # [time_ms, seq, fn or None]
         self._seq = 0
         self.events_processed = 0
         self._feed: list[tuple[float, object]] | None = None
         self._feed_fn = None
         self._fed = 0  # arrivals of the feed put on the heap so far
 
-    def schedule(self, delay_ms: float, fn) -> Event:
+    def schedule(self, delay_ms: float, fn) -> list:
         """Schedule fn() to run delay_ms from now. Negative delays are refused."""
         if delay_ms < 0:
             raise SimError(f"cannot schedule into the past (delay {delay_ms} ms)")
         return self.schedule_at(self.now + delay_ms, fn)
 
-    def schedule_at(self, time_ms: float, fn) -> Event:
+    def schedule_at(self, time_ms: float, fn) -> list:
         # NaN fails both comparisons, and an event at inf would end the run there
         if not self.now <= time_ms < math.inf:
             self._refuse(time_ms)
-        ev = Event(fn)
-        heapq.heappush(self._heap, (time_ms, self._seq, ev))
+        ev = [time_ms, self._seq, fn]
+        heapq.heappush(self._heap, ev)
         self._seq += 1
         return ev
 
@@ -113,23 +105,21 @@ class SimClock:
             self._feed = self._feed_fn = None
         fn(item)
 
-    def cancel(self, event: Event) -> None:
+    def cancel(self, event: list) -> None:
         """The event will not fire; its callback is dropped at once."""
-        event.cancelled = True
-        event.fn = None
+        event[2] = None
 
     def pending(self) -> int:
         """Events still to fire, counting the feed's arrivals not yet on the
         heap."""
         unfed = len(self._feed) - self._fed if self._feed is not None else 0
-        return unfed + sum(1 for _, _, ev in self._heap if not ev.cancelled)
+        return unfed + sum(1 for _, _, fn in self._heap if fn is not None)
 
     def clear(self) -> None:
         """Cancel every pending event and drop the rest of the feed, so that
         no callback the clock holds keeps its owner alive."""
-        for _, _, ev in self._heap:
-            ev.cancelled = True
-            ev.fn = None
+        for ev in self._heap:
+            ev[2] = None
         self._heap.clear()
         self._feed = self._feed_fn = None
 
@@ -146,13 +136,13 @@ class SimClock:
         processed = 0
         try:
             while heap:
-                time, _, ev = pop(heap)
-                if ev.cancelled:
+                time, _, fn = pop(heap)
+                if fn is None:
                     continue
                 if time < self.now:
                     raise SimError("event queue corrupted: time went backwards")
                 self.now = time
-                ev.fn()
+                fn()
                 processed += 1
                 if processed >= max_events:
                     raise SimError(

@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 
+from migsim import service
 from migsim.harness import row_from_record
 from migsim.migration import (Decision, HandoffPolicy, MigrationRecord,
                               Outcome, Phase, PhaseSpan, Technique,
@@ -311,18 +312,34 @@ def test_quiet_after_burst_watermark_is_checkpoint_id():
     assert _ids(res.outputs) == [1, 2, 3]
 
 
-def test_shadow_replay_reproduces_source_outputs():
+@pytest.mark.parametrize("kw", [
+    {},
+    # the handoff can start with messages still queued on the secondary
+    dict(policy=HandoffPolicy(handoff_threshold=3, replay_timeout_ms=400.0),
+         delivery_latency_ms=0.7, processing=7.0),
+], ids=["default", "backlog_at_handoff"])
+def test_replay_reproduces_source_outputs(monkeypatch, kw):
     """The target's suppressed replay must regenerate, byte for byte, the
     outputs the source already emitted for the replayed ids: replaying the
     mirrored stream against the restored checkpoint is state-equivalent to
     the source's own execution."""
-    res = _run(_mk(shadow=True))
+    handled = {}  # message id -> [(state, outputs)] in handling order
+
+    def spy(state, msg, real=service.handle):
+        state, outputs = real(state, msg)
+        handled.setdefault(msg.id, []).append((state, outputs))
+        return state, outputs
+
+    monkeypatch.setattr(service, "handle", spy)
+    res = _run(_mk(**kw))
     rec = res.record
-    assert rec.replayed_count > 0
+    assert rec.outcome is Outcome.COMPLETED and rec.replayed_count > 0
+    twice = {i: h for i, h in handled.items() if len(h) > 1}
     w = rec.watermark
-    lo = w - rec.replayed_count + 1
-    expected = [o for o in res.outputs if lo <= int(o.split()[1]) <= w]
-    assert res.shadow_outputs == expected
+    assert sorted(twice) == list(range(w - rec.replayed_count + 1, w + 1))
+    for (first, out1), (second, out2) in twice.values():
+        assert first is res.source.state and second is res.target.state
+        assert out1 == out2
 
 
 def test_source_serves_while_checkpoint_transfers():

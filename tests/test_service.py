@@ -191,13 +191,13 @@ def test_handle_reexecution_is_deterministic(ops):
 # -- instance runtime ----------------------------------------------------------
 
 
-def _rig(processing_ms=4.0, shadow=False):
+def _rig(processing_ms=4.0):
     clock = SimClock()
     broker = Broker(clock)
     broker.create_queue("in")
     broker.create_queue("out")
     inst = ServiceInstance("i1", ServiceState(), clock, broker, processing_ms,
-                           "out", shadow=shadow)
+                           "out")
     return clock, broker, inst
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -205,13 +206,28 @@ def test_feed_checks_every_time_up_front():
         clock.feed([(12.0, "b")], print)
 
 
+class _Callback:
+    def __init__(self, seen):
+        self.seen = seen
+
+    def __call__(self):
+        self.seen.append("event")
+
+
 def test_clear_drops_pending_events_and_the_feed():
     clock = SimClock()
     seen = []
     clock.feed([(1.0, "a"), (2.0, "b")], seen.append)
-    ev = clock.schedule(1.0, lambda: seen.append("event"))
+    cancelled, cleared = _Callback(seen), _Callback(seen)
+    refs = weakref.ref(cancelled), weakref.ref(cleared)
+    # the handles stay held: cancel and clear must still let go of the
+    # callbacks, however an event is stored
+    handles = clock.schedule(1.0, cancelled), clock.schedule(1.0, cleared)
+    del cancelled, cleared
+    clock.cancel(handles[0])
+    assert refs[0]() is None and refs[1]() is not None
     clock.clear()
-    assert clock.pending() == 0 and ev.cancelled and ev.fn is None
+    assert clock.pending() == 0 and refs[1]() is None
     clock.run_until()
     assert seen == [] and clock.events_processed == 0
 
