@@ -213,10 +213,13 @@ def _parse_hosts(raw, errors) -> dict[str, Host]:
         if host_id in hosts:
             errors.append(f"{where}.id: duplicate host {host_id!r}")
             continue
-        # a bad number gets a placeholder, keeping the host known
-        hosts[host_id] = Host(
-            id=host_id, region=item.get("region", ""),
-            **_fields(item, rules(Host), errors, where))
+        # a bad value gets a placeholder, keeping the host known
+        region = item.get("region", "")
+        if not isinstance(region, str):
+            errors.append(f"{where}.region: must be a string, got {region!r}")
+            region = ""
+        hosts[host_id] = Host(id=host_id, region=region,
+                              **_fields(item, rules(Host), errors, where))
     return hosts
 
 

@@ -215,10 +215,11 @@ class ServiceInstance:
 
     The instance consumes its subscribed queue one message at a time: a poll
     takes processing_ms of simulated time, after which the message is applied,
-    its outputs are published (Serving) or suppressed (Replaying: dropped,
-    and only counted in replayed_count), and the delivery is acked. State changes and output emission happen together at
-    completion time, so a pause or crash before completion leaves the message
-    fully unapplied and still buffered for redelivery.
+    its outputs are published (Serving) or dropped (Replaying, where only
+    replayed_count records the message), and the delivery is acked. State
+    changes and output emission happen together at completion time, so a
+    pause or crash before completion leaves the message fully unapplied and
+    still buffered for redelivery.
 
     Hooks (all optional): on_mode_change(instance, old, new) after every mode
     change, on_idle() when a drained queue leaves nothing to poll. The

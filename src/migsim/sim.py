@@ -56,8 +56,13 @@ class FaultSpec:
 @dataclass
 class SimParams:
     """Everything one run needs. stream, when given instead of a workload,
-    is a list of (time_ms, payload) arrivals; it may be unsorted, and
-    arrivals at equal times are published in list order."""
+    is a list of (time_ms, payload) arrivals with bytes payloads; it may be
+    unsorted, and arrivals at equal times are published in list order.
+
+    Construction refuses what a run would only trip over later: a value
+    outside its field's rule, a technique that is not a Technique, a
+    technique without a trigger_ms, both a workload and a stream, and a
+    stream payload that is not bytes."""
 
     source_host: Host
     target_host: Host
@@ -85,6 +90,11 @@ class SimParams:
             raise ValueError("a technique needs a trigger_ms")
         if self.stream is not None and self.workload is not None:
             raise ValueError("give either a workload spec or a stream, not both")
+        # anything else would fail mid-run, far from the bad entry
+        for i, (_, payload) in enumerate(self.stream or ()):
+            if not isinstance(payload, bytes):
+                raise ValueError(f"SimParams.stream[{i}]: payload must be "
+                                 f"bytes, got {type(payload).__name__}")
 
 
 @dataclass(frozen=True)

@@ -560,6 +560,20 @@ def test_cli_validate(tmp_path, capsys):
     assert "fault.phase: must be a phase name" in capsys.readouterr().err
 
 
+def test_cli_validate_refuses_a_region_that_is_not_a_string(tmp_path,
+                                                           capsys):
+    # the host stays known, so no link or migration error follows
+    for region in (5, ["x"]):
+        doc = _doc(trials=1)
+        doc["hosts"][0]["region"] = region
+        assert main(["validate", str(_write_scenario(tmp_path, doc))]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"hosts[0].region: must be a string, got {region!r}"]
+    # a string region is accepted and unused
+    doc["hosts"][0]["region"] = "eu-west"
+    assert main(["validate", str(_write_scenario(tmp_path, doc))]) == 0
+
+
 def test_trials_are_capped(tmp_path, capsys):
     # every row is kept in memory until the CSV is written
     scenario = _write_scenario(tmp_path, _doc(trials=10**12))

@@ -84,6 +84,10 @@ def test_validate_timeline_rejects_gaps():
     rec.phase_timeline.append(_span(Phase.TRANSFER, 31, 40))
     with pytest.raises(ProtocolError):
         rec.validate_timeline()
+    # spans close and open at the clock's same instant, so any gap is a fault
+    rec.phase_timeline[-1] = _span(Phase.TRANSFER, 30 + 1e-9, 40)
+    with pytest.raises(ProtocolError, match="does not start where"):
+        rec.validate_timeline()
 
 
 def test_validate_timeline_rejects_a_phase_entered_twice():
@@ -199,6 +203,21 @@ def test_simulation_guards():
         sim.broker.publish, sim.manager.q_mgr, b"teleport"))
     with pytest.raises(ProtocolError, match="teleport"):
         sim.run()
+
+
+def test_params_refuse_what_a_run_would_trip_over():
+    with pytest.raises(ValueError, match="^a technique needs a trigger_ms$"):
+        _mk(trigger_ms=None)
+    with pytest.raises(ValueError, match="^give either a workload spec or "
+                                         "a stream, not both$"):
+        _mk(stream=[(1.0, b"add score 1")])
+    # an int was published as that many zero bytes and a str raised a bare
+    # TypeError, both mid-run
+    for payload, kind in ((5, "int"), ("add score 1", "str")):
+        with pytest.raises(ValueError) as err:
+            _mk(workload=None, stream=[(1.0, b"add score 1"), (2.0, payload)])
+        assert str(err.value) == (
+            f"SimParams.stream[1]: payload must be bytes, got {kind}")
 
 
 def test_technique_must_be_a_technique():
