@@ -6,6 +6,10 @@ consumer that goes away mid-flight sees the same message again after it (or a
 successor) subscribes. Each queue numbers its messages 1, 2, 3, ... in publish
 order; a mirrored copy keeps the id it was assigned on the source queue.
 
+A queue's buffer is a FIFO deque in id order. Publishing and mirroring only
+append, a poll delivers the head, and at most one delivery is in flight, so
+the in-flight message is always the head and an ack pops it from the left.
+
 A consumer is woken when it subscribes to a queue that holds messages and
 when a publish reaches its queue while nothing is in flight. An ack wakes
 nobody: the consumer that acked polls again itself.
@@ -13,6 +17,7 @@ nobody: the consumer that acked polls again itself.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import NamedTuple
 
 from .simnet import SimClock
@@ -55,12 +60,19 @@ class Message(NamedTuple):
     publish_time: float
 
 
+# builds a Message without the namedtuple's Python-level __new__
+_new_message = tuple.__new__
+
+
 class Queue:
+    """A named FIFO buffer. Messages sit in a deque in id order; the head is
+    the next deliverable message and, while a delivery is outstanding, the
+    one in flight."""
+
     def __init__(self, name: str):
         self.name = name
         self.next_id = 1
-        # id -> Message; insertion order is id order because ids only grow
-        self._messages: dict[int, Message] = {}
+        self._messages: deque[Message] = deque()
         self.subscriber: str | None = None
         self.mirror: tuple[str, int] | None = None
         self.inflight: int | None = None  # delivered, not yet acked
@@ -72,18 +84,16 @@ class Queue:
         return len(self._messages)
 
     def ids(self) -> list[int]:
-        return list(self._messages.keys())
+        return [m.id for m in self._messages]
 
     def payloads(self) -> list[bytes]:
-        return [m.payload for m in self._messages.values()]
+        return [m.payload for m in self._messages]
 
     def messages(self) -> list[Message]:
-        return list(self._messages.values())
+        return list(self._messages)
 
     def head(self) -> Message | None:
-        for msg in self._messages.values():
-            return msg
-        return None
+        return self._messages[0] if self._messages else None
 
     def _fire_wake(self) -> None:
         self._wake_pending = False
@@ -139,22 +149,26 @@ class Broker:
             q = self._queues[name]
         except KeyError:
             q = self.queue(name)
-        msg = Message(q.next_id, name, bytes(payload), self.clock.now)
-        q._messages[msg.id] = msg
-        q.next_id += 1
+        mid = q.next_id
+        if type(payload) is not bytes:
+            payload = bytes(payload)
+        msg = _new_message(Message, (mid, name, payload, self.clock.now))
+        q._messages.append(msg)
+        q.next_id = mid + 1
         q.published_total += 1
-        if q.mirror is not None and msg.id >= q.mirror[1]:
+        if q.mirror is not None and mid >= q.mirror[1]:
             self._append_mirrored(self.queue(q.mirror[0]), msg)
         self._notify(q)
-        return msg.id
+        return mid
 
     def _append_mirrored(self, target: Queue, msg: Message) -> None:
         # mirrored copies keep the source id; ids must still only grow
-        if target._messages and msg.id <= next(reversed(target._messages)):
+        if target._messages and msg.id <= target._messages[-1].id:
             raise BrokerError(
                 f"mirror append would break id order on {target.name!r}")
-        copy = Message(msg.id, target.name, msg.payload, self.clock.now)
-        target._messages[copy.id] = copy
+        copy = _new_message(
+            Message, (msg.id, target.name, msg.payload, self.clock.now))
+        target._messages.append(copy)
         target.published_total += 1
         if copy.id >= target.next_id:
             target.next_id = copy.id + 1
@@ -176,7 +190,7 @@ class Broker:
         if start_id < 1:
             raise BrokerError("start_id must be >= 1")
         q.mirror = (target_name, start_id)
-        for msg in q._messages.values():
+        for msg in q._messages:
             if msg.id >= start_id:
                 self._append_mirrored(target, msg)
 
@@ -226,7 +240,8 @@ class Broker:
                 or q.inflight is not None or not q._messages):
             return
         q._wake_pending = True
-        self.clock.schedule(self.delivery_latency_ms, q._fire_wake)
+        clock = self.clock
+        clock.schedule_at(clock.now + self.delivery_latency_ms, q._fire_wake)
 
     # -- consumption -------------------------------------------------------
 
@@ -248,11 +263,9 @@ class Broker:
             q = self.queue(name)
         if q.subscriber != consumer:
             raise NotSubscribed(f"{consumer!r} is not the consumer of {name!r}")
-        if q.inflight is not None:
+        if q.inflight is not None or not q._messages:
             return None
-        msg = q.head()
-        if msg is None:
-            return None
+        msg = q._messages[0]
         q.inflight = msg.id
         return msg
 
@@ -265,7 +278,8 @@ class Broker:
             q = self.queue(name)
         if q.subscriber != consumer:
             raise NotSubscribed(f"{consumer!r} is not the consumer of {name!r}")
-        if q.inflight != message_id or message_id not in q._messages:
+        if q.inflight != message_id or message_id is None:
             raise BadAck(f"message {message_id} is not in flight on {name!r}")
-        del q._messages[message_id]
+        # the in-flight message is the head: ids only grow at the tail
+        q._messages.popleft()
         q.inflight = None

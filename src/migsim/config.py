@@ -15,7 +15,7 @@ from pathlib import Path
 from .migration import HandoffPolicy, Technique
 from .rules import REQUIRED, Rule, param, problem, rules
 from .sim import FaultSpec, SimParams
-from .simnet import Host, Link
+from .simnet import Host, Link, region_problem
 from .workload import KINDS, WorkloadSpec
 
 SCHEMA_VERSION = 1
@@ -215,8 +215,9 @@ def _parse_hosts(raw, errors) -> dict[str, Host]:
             continue
         # a bad value gets a placeholder, keeping the host known
         region = item.get("region", "")
-        if not isinstance(region, str):
-            errors.append(f"{where}.region: must be a string, got {region!r}")
+        text = region_problem(region)
+        if text is not None:
+            errors.append(f"{where}.region: {text}")
             region = ""
         hosts[host_id] = Host(id=host_id, region=region,
                               **_fields(item, rules(Host), errors, where))

@@ -65,13 +65,20 @@ _TAG_INT = 0x01
 _TAG_BYTES = 0x02
 _TAG_STR = 0x03
 
+_HEADER = struct.Struct(">QI")
+_U32 = struct.Struct(">I")
+_I64 = struct.Struct(">q")
+# an int entry's value field is this prefix (length 9, tag) and an int64
+_INT_PREFIX = _U32.pack(9) + bytes([_TAG_INT])
+_I64_MIN, _I64_MAX = -(2 ** 63), 2 ** 63 - 1
+
 
 def _encode_value(value: Scalar) -> bytes:
     if isinstance(value, bool):
         raise SerializationError("bool values are not part of the state schema")
     if isinstance(value, int):
         try:
-            return bytes([_TAG_INT]) + struct.pack(">q", value)
+            return bytes([_TAG_INT]) + _I64.pack(value)
         except struct.error:
             raise SerializationError(f"int out of 64-bit range: {value}") from None
     if isinstance(value, bytes):
@@ -81,56 +88,87 @@ def _encode_value(value: Scalar) -> bytes:
     raise SerializationError(f"unsupported value type {type(value).__name__}")
 
 
-def _decode_value(raw: bytes) -> Scalar:
+def _utf8(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise SerializationError(
+            f"{what} is not valid UTF-8: {raw[:40]!r}") from None
+
+
+def _decode_value(raw: bytes, key: str) -> Scalar:
     if not raw:
         raise SerializationError("empty value field")
     tag, body = raw[0], raw[1:]
     if tag == _TAG_INT:
         if len(body) != 8:
             raise SerializationError("int value must be exactly 8 bytes")
-        return struct.unpack(">q", body)[0]
+        return _I64.unpack(body)[0]
     if tag == _TAG_BYTES:
         return body
     if tag == _TAG_STR:
-        return body.decode("utf-8")
+        return _utf8(body, f"value of key {key!r}")
     raise SerializationError(f"unknown value tag {tag:#x}")
 
 
 def serialize_state(state: ServiceState) -> bytes:
     if state.last_processed_id < 0:
         raise SerializationError("last_processed_id must be >= 0")
-    out = bytearray(struct.pack(">QI", state.last_processed_id, len(state.data)))
+    data = state.data
+    out = bytearray(_HEADER.pack(state.last_processed_id, len(data)))
+    pack_u32, pack_i64, int_prefix = _U32.pack, _I64.pack, _INT_PREFIX
+    lo, hi = _I64_MIN, _I64_MAX
     # code-point order is UTF-8 byte order, so the keys sort as they are
-    for key in sorted(state.data):
+    for key in sorted(data):
         kb = key.encode("utf-8")
-        vb = _encode_value(state.data[key])
-        out += struct.pack(">I", len(kb))
+        value = data[key]
+        out += pack_u32(len(kb))
         out += kb
-        out += struct.pack(">I", len(vb))
-        out += vb
+        # exact ints in range take the fast path; bool, int subclasses and
+        # out-of-range ints get _encode_value's checks and messages
+        if type(value) is int and lo <= value <= hi:
+            out += int_prefix
+            out += pack_i64(value)
+        else:
+            vb = _encode_value(value)
+            out += pack_u32(len(vb))
+            out += vb
     return bytes(out)
 
 
 def deserialize_state(blob: bytes) -> ServiceState:
-    if len(blob) < 12:
+    size = len(blob)
+    if size < 12:
         raise SerializationError("truncated state blob")
-    last_id, count = struct.unpack_from(">QI", blob, 0)
+    last_id, count = _HEADER.unpack_from(blob, 0)
     offset = 12
     data: dict[str, Scalar] = {}
+    unpack_u32, unpack_i64, int_prefix = (_U32.unpack_from, _I64.unpack_from,
+                                          _INT_PREFIX)
     for _ in range(count):
-        if offset + 4 > len(blob):
+        if offset + 4 > size:
             raise SerializationError("truncated key length")
-        (klen,) = struct.unpack_from(">I", blob, offset)
+        (klen,) = unpack_u32(blob, offset)
         offset += 4
-        key = blob[offset:offset + klen].decode("utf-8")
-        offset += klen
-        if offset + 4 > len(blob):
+        end = offset + klen
+        if end > size:
+            raise SerializationError("truncated key")
+        key = _utf8(blob[offset:end], "key")
+        offset = end
+        if blob.startswith(int_prefix, offset) and offset + 13 <= size:
+            data[key] = unpack_i64(blob, offset + 5)[0]
+            offset += 13
+            continue
+        if offset + 4 > size:
             raise SerializationError("truncated value length")
-        (vlen,) = struct.unpack_from(">I", blob, offset)
+        (vlen,) = unpack_u32(blob, offset)
         offset += 4
-        data[key] = _decode_value(blob[offset:offset + vlen])
-        offset += vlen
-    if offset != len(blob):
+        end = offset + vlen
+        if end > size:
+            raise SerializationError(f"truncated value of key {key!r}")
+        data[key] = _decode_value(blob[offset:end], key)
+        offset = end
+    if offset != size:
         raise SerializationError("trailing bytes after state entries")
     return ServiceState(data, last_id)
 
@@ -412,8 +450,9 @@ class ServiceInstance:
             self._mark_idle()
             return
         self._idle = False
-        self._pending = self.clock.schedule(
-            self.processing_ms, partial(self._complete, msg))
+        clock = self.clock
+        self._pending = clock.schedule_at(
+            clock.now + self.processing_ms, partial(self._complete, msg))
 
     def _switched_at_watermark(self) -> bool:
         """Switch to the main queue once the replay has applied the watermark

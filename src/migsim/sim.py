@@ -20,13 +20,14 @@ directly.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 
 from .broker import Broker
 from .migration import (MAIN_QUEUE, OUTPUT_QUEUE, SERVICE_ID, HandoffPolicy,
                         MigrationManager, MigrationRecord, Phase, Technique)
-from .rules import check, param
+from .rules import Rule, check, param, problem
 from .service import Mode, ServiceInstance, ServiceState, serialize_state
 from .simnet import Host, Link, SimClock, SimError
 from .workload import WorkloadSpec, generate
@@ -53,6 +54,24 @@ class FaultSpec:
             raise ValueError(f"unknown phase {self.phase!r}")
 
 
+_ARRIVAL_TIME = Rule(minimum=0.0)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _check_arrival(i: int, entry) -> None:
+    where = f"SimParams.stream[{i}]"
+    if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+        raise ValueError(
+            f"{where}: must be a (time_ms, payload) pair, got {entry!r:.60}")
+    time_ms, payload = entry
+    text = problem(time_ms, _ARRIVAL_TIME)
+    if text is not None:
+        raise ValueError(f"{where}: time {text}")
+    if not isinstance(payload, bytes):
+        raise ValueError(f"{where}: payload must be bytes, got "
+                         f"{type(payload).__name__}")
+
+
 @dataclass
 class SimParams:
     """Everything one run needs. stream, when given instead of a workload,
@@ -62,7 +81,8 @@ class SimParams:
     Construction refuses what a run would only trip over later: a value
     outside its field's rule, a technique that is not a Technique, a
     technique without a trigger_ms, both a workload and a stream, and a
-    stream payload that is not bytes."""
+    stream entry that is not a (time_ms, payload) pair with a finite time
+    >= 0 and a bytes payload."""
 
     source_host: Host
     target_host: Host
@@ -90,11 +110,14 @@ class SimParams:
             raise ValueError("a technique needs a trigger_ms")
         if self.stream is not None and self.workload is not None:
             raise ValueError("give either a workload spec or a stream, not both")
-        # anything else would fail mid-run, far from the bad entry
-        for i, (_, payload) in enumerate(self.stream or ()):
-            if not isinstance(payload, bytes):
-                raise ValueError(f"SimParams.stream[{i}]: payload must be "
-                                 f"bytes, got {type(payload).__name__}")
+        # anything else would fail mid-run, far from the bad entry; the
+        # usual (float, bytes) tuple is let through without the full check
+        for i, entry in enumerate(self.stream or ()):
+            if not (type(entry) is tuple and len(entry) == 2
+                    and type(entry[0]) is float
+                    and 0.0 <= entry[0] <= _FLOAT_MAX
+                    and type(entry[1]) is bytes):
+                _check_arrival(i, entry)
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,13 @@ class SimClock:
         return self.now
 
 
+def region_problem(region) -> str | None:
+    """What is wrong with a host's region (parsed, never used), or None."""
+    if isinstance(region, str):
+        return None
+    return f"must be a string, got {region!r}"
+
+
 @dataclass(frozen=True)
 class Host:
     """A machine that can run a service instance.
@@ -167,7 +174,11 @@ class Host:
     restore_fixed_ms: float = param(0.0, minimum=0.0)
     restore_ms_per_kib: float = param(0.0, minimum=0.0)
 
-    __post_init__ = check
+    def __post_init__(self):
+        check(self)
+        text = region_problem(self.region)
+        if text is not None:
+            raise ValueError(f"Host.region: {text}")
 
 
 @dataclass(frozen=True)

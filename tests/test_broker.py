@@ -1,5 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
+                                 precondition, rule)
 
 from migsim.broker import (BadAck, Broker, BrokerError, DuplicateQueue,
                            ExclusiveConsumer, MirrorActive, NotSubscribed,
@@ -287,3 +289,125 @@ def test_mirror_holds_exactly_the_tail_subsequence(pre_ops, post_pubs, start_bac
         if published >= start_id:
             expected.append(published)
     assert broker.queue("sec").ids() == expected
+
+
+# -- state machine ------------------------------------------------------------
+
+QUEUES = ("main", "sec")
+
+
+class BrokerMachine(RuleBasedStateMachine):
+    """Publish, poll, ack, unsubscribe/resubscribe and start/stop mirror
+    against a model that keeps each queue as a list of ids. Publishes go to
+    main; sec only ever receives mirrored copies. Message n's payload is
+    b"m<n>", so a mirrored copy shows which source message it is."""
+
+    def __init__(self):
+        super().__init__()
+        self.broker = Broker(SimClock())
+        self.model = {q: [] for q in QUEUES}
+        self.consumer = {q: None for q in QUEUES}
+        self.inflight = {q: None for q in QUEUES}
+        self.mirror_start = None
+        self.published = 0
+        self.subscriptions = 0
+        for q in QUEUES:
+            self.broker.create_queue(q)
+
+    def _subscribed(self, q):
+        return self.consumer[q] is not None
+
+    @rule()
+    def publish(self):
+        self.published += 1
+        assert self.broker.publish("main", b"m%d" % self.published) \
+            == self.published
+        self.model["main"].append(self.published)
+        if self.mirror_start is not None \
+                and self.published >= self.mirror_start:
+            self.model["sec"].append(self.published)
+
+    @rule(q=st.sampled_from(QUEUES))
+    def subscribe(self, q):
+        if self._subscribed(q):
+            return
+        # a fresh consumer each time: delivery resumes at the oldest unacked
+        self.subscriptions += 1
+        self.consumer[q] = "c%d" % self.subscriptions
+        self.broker.subscribe(q, self.consumer[q])
+
+    @rule(q=st.sampled_from(QUEUES))
+    def unsubscribe(self, q):
+        if not self._subscribed(q):
+            return
+        self.broker.unsubscribe(q, self.consumer[q])
+        self.consumer[q] = None
+        self.inflight[q] = None  # redeliverable to the next consumer
+
+    @rule(q=st.sampled_from(QUEUES))
+    def poll(self, q):
+        if not self._subscribed(q):
+            with pytest.raises(NotSubscribed):
+                self.broker.poll(q, "stranger")
+            return
+        msg = self.broker.poll(q, self.consumer[q])
+        if self.inflight[q] is not None or not self.model[q]:
+            assert msg is None
+            return
+        # the polled message is the head, and a copy keeps its source id
+        assert msg.id == self.model[q][0]
+        assert (msg.topic, msg.payload) == (q, b"m%d" % msg.id)
+        self.inflight[q] = msg.id
+
+    @rule(q=st.sampled_from(QUEUES))
+    def ack(self, q):
+        if not self._subscribed(q) or self.inflight[q] is None:
+            return
+        self.broker.ack(q, self.consumer[q], self.inflight[q])
+        assert self.model[q].pop(0) == self.inflight[q]
+        self.inflight[q] = None
+
+    @rule(q=st.sampled_from(QUEUES),
+          wrong=st.one_of(st.none(), st.integers(min_value=-1, max_value=40)))
+    def bad_ack(self, q, wrong):
+        if not self._subscribed(q):
+            return
+        if wrong is not None and wrong == self.inflight[q]:
+            return
+        # the invariant then finds the buffer and the delivery unchanged
+        with pytest.raises(BadAck):
+            self.broker.ack(q, self.consumer[q], wrong)
+
+    @precondition(lambda self: self.mirror_start is None)
+    @rule(start=st.integers(min_value=1, max_value=40))
+    def start_mirror(self, start):
+        # sec's ids only grow, so a restarted mirror begins past its tail
+        if self.model["sec"]:
+            start = max(start, self.model["sec"][-1] + 1)
+        self.broker.start_mirror("main", "sec", start)
+        self.mirror_start = start
+        self.model["sec"] += [i for i in self.model["main"] if i >= start]
+
+    @precondition(lambda self: self.mirror_start is not None)
+    @rule()
+    def stop_mirror(self):
+        self.broker.stop_mirror("main")
+        self.mirror_start = None
+
+    @invariant()
+    def buffers_match_the_model(self):
+        for q in QUEUES:
+            queue = self.broker.queue(q)
+            ids = queue.ids()
+            assert ids == self.model[q]
+            assert all(a < b for a, b in zip(ids, ids[1:]))
+            assert len(queue) == len(ids)
+            head = queue.head()
+            assert (head.id if head is not None else None) == (
+                ids[0] if ids else None)
+            assert queue.inflight == self.inflight[q]
+
+
+TestBrokerMachine = BrokerMachine.TestCase
+TestBrokerMachine.settings = settings(max_examples=60, stateful_step_count=40,
+                                      deadline=None)

@@ -187,8 +187,9 @@ def test_simulation_guards():
         Simulation(_mk(trigger_ms=None))
     with pytest.raises(ValueError):
         Simulation(_mk(stream=[(1.0, b"add score 1 xxxx")]))
-    # a NaN arrival is refused when it is scheduled, not mid-run
-    with pytest.raises(SimError, match=r"non-finite time \(nan\)"):
+    # a NaN arrival is refused when the params are built, not mid-run
+    with pytest.raises(ValueError, match=r"^SimParams\.stream\[1\]: time "
+                                         r"must be finite, got nan$"):
         Simulation(_mk(workload=None, stream=[(1.0, b"add score 1"),
                                               (float("nan"), b"add score 1")]))
     sim = Simulation(_mk())
@@ -218,6 +219,33 @@ def test_params_refuse_what_a_run_would_trip_over():
             _mk(workload=None, stream=[(1.0, b"add score 1"), (2.0, payload)])
         assert str(err.value) == (
             f"SimParams.stream[1]: payload must be bytes, got {kind}")
+
+
+def test_params_refuse_a_stream_entry_that_is_not_a_timed_pair():
+    # a str time raised a bare TypeError in SimClock.feed, and a short entry
+    # a ValueError about unpacking that named no field
+    cases = [
+        (("5", b"add a 1"), "time must be a number, got '5'"),
+        ((True, b"add a 1"), "time must be a number, got True"),
+        ((-1.0, b"add a 1"), "time must be >= 0.0, got -1.0"),
+        ((float("inf"), b"add a 1"), "time must be finite, got inf"),
+        ((1.0,), "must be a (time_ms, payload) pair, got (1.0,)"),
+        ((1.0, b"add a 1", 2), "must be a (time_ms, payload) pair, got "
+                               "(1.0, b'add a 1', 2)"),
+        (b"ab", "must be a (time_ms, payload) pair, got b'ab'"),
+        (7, "must be a (time_ms, payload) pair, got 7"),
+    ]
+    for entry, text in cases:
+        with pytest.raises(ValueError) as err:
+            _mk(workload=None, stream=[(1.0, b"add a 1"), entry])
+        assert str(err.value) == f"SimParams.stream[1]: {text}"
+    # an int time and a list pair are still accepted, and run like the
+    # usual (float, bytes) tuple
+    plain = _run(_mk(workload=None, technique=None, trigger_ms=None,
+                     stream=[(1.0, b"add a 1"), (2.0, b"add a 2")]))
+    mixed = _run(_mk(workload=None, technique=None, trigger_ms=None,
+                     stream=[[1, b"add a 1"], (2, b"add a 2")]))
+    assert mixed.outputs == plain.outputs == [b"ok 1 a=1", b"ok 2 a=3"]
 
 
 def test_technique_must_be_a_technique():

@@ -3,7 +3,7 @@ import struct
 import weakref
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from migsim.broker import Broker, Message
 from migsim.service import (Mode, ModeError, ProtocolError, SerializationError,
@@ -100,6 +100,94 @@ def test_rejects_unknown_tag():
     bad = blob.replace(b"\x02x", b"\x7fx")
     with pytest.raises(SerializationError):
         deserialize_state(bad)
+
+
+def _field(raw: bytes) -> bytes:
+    return len(raw).to_bytes(4, "big") + raw
+
+
+def _reference_encode(data: dict, last: int) -> bytes:
+    """The documented layout, written out independently of the codec."""
+    entries = []
+    for key, value in data.items():
+        if isinstance(value, int):
+            body = b"\x01" + value.to_bytes(8, "big", signed=True)
+        elif isinstance(value, bytes):
+            body = b"\x02" + value
+        else:
+            body = b"\x03" + value.encode("utf-8")
+        entries.append((key.encode("utf-8"), body))
+    entries.sort(key=lambda entry: entry[0])
+    out = last.to_bytes(8, "big") + len(entries).to_bytes(4, "big")
+    for kb, body in entries:
+        out += _field(kb) + _field(body)
+    return out
+
+
+class Count(int):
+    """An int subclass, as a caller's own counter type might be."""
+
+
+int64s = st.one_of(st.sampled_from([-(2 ** 63), 2 ** 63 - 1, 0, -1]),
+                   st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1))
+codec_keys = st.text(min_size=1, max_size=8)
+codec_values = st.one_of(int64s, int64s.map(Count), st.binary(max_size=20),
+                         st.text(max_size=20))
+
+
+@example(data={"é": 1, "😀": Count(-(2 ** 63)), "ａ": "ü", "z": b"\xff"},
+         last=2 ** 64 - 1, bad=2 ** 63)
+@given(data=st.dictionaries(codec_keys, codec_values, max_size=10),
+       last=st.integers(min_value=0, max_value=2 ** 64 - 1),
+       bad=st.sampled_from([2 ** 63, -(2 ** 63) - 1, Count(2 ** 63), True,
+                            False]))
+def test_serialize_matches_a_reference_encoder(data, last, bad):
+    blob = serialize_state(ServiceState(data, last))
+    assert blob == _reference_encode(data, last)
+    back = deserialize_state(blob)
+    assert back.data == data and back.last_processed_id == last
+    # a value outside the schema is refused with the same message wherever
+    # it sits among the other entries
+    for key in ("", "m", "\U0010ffff"):
+        with pytest.raises(SerializationError) as err:
+            serialize_state(ServiceState({**data, key: bad}, last))
+        assert str(err.value) == (
+            "bool values are not part of the state schema"
+            if isinstance(bad, bool) else f"int out of 64-bit range: {bad}")
+
+
+@given(data=st.dictionaries(codec_keys, codec_values, max_size=4))
+def test_every_proper_prefix_is_refused(data):
+    blob = serialize_state(ServiceState(data, 3))
+    for end in range(len(blob)):
+        with pytest.raises(SerializationError):
+            deserialize_state(blob[:end])
+
+
+def test_truncated_or_invalid_utf8_raises_serialization_error_only():
+    # a cut inside a multi-byte character used to leak UnicodeDecodeError
+    blob = serialize_state(ServiceState({"é": 1, "zz": "ü"}, 3))
+    for end in range(len(blob)):
+        with pytest.raises(SerializationError):
+            deserialize_state(blob[:end])
+    # a 12-byte header, "zz" and its str "ü" at 12-24, then "é" and its int
+    for end, text in ((17, "truncated key"), (20, "truncated value length"),
+                      (24, "truncated value of key 'zz'"),
+                      (27, "truncated key length"), (30, "truncated key"),
+                      (len(blob) - 1, "truncated value of key 'é'")):
+        with pytest.raises(SerializationError, match=f"^{text}$"):
+            deserialize_state(blob[:end])
+    header = (3).to_bytes(8, "big") + (1).to_bytes(4, "big")
+    int_value = _field(b"\x01" + (1).to_bytes(8, "big"))
+    for raw_key in (b"\xff", b"\xc3", b"a\xed\xa0\x80"):
+        with pytest.raises(SerializationError) as err:
+            deserialize_state(header + _field(raw_key) + int_value)
+        assert str(err.value) == f"key is not valid UTF-8: {raw_key!r}"
+    for body in (b"\xff", b"\xc3", b"ok\xe2\x82"):
+        with pytest.raises(SerializationError) as err:
+            deserialize_state(header + _field(b"zz") + _field(b"\x03" + body))
+        assert str(err.value) == (
+            f"value of key 'zz' is not valid UTF-8: {body!r}")
 
 
 # -- message handler -----------------------------------------------------------

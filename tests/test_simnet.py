@@ -250,6 +250,16 @@ def test_host_rejects_negative_coefficients():
         _host(restore_ms_per_kib=-0.5)
 
 
+def test_host_refuses_a_region_that_is_not_a_string():
+    # the message migsim validate prints for hosts[i].region
+    for region in (5, ["x"], None):
+        with pytest.raises(ValueError) as err:
+            _host(region=region)
+        assert str(err.value) == (
+            f"Host.region: must be a string, got {region!r}")
+    assert _host(region="eu-west").region == "eu-west"
+
+
 def test_link_validation():
     with pytest.raises(ValueError):
         Link(source="a", target="b", latency_ms=-1.0)
