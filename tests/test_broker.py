@@ -330,6 +330,8 @@ class BrokerMachine(RuleBasedStateMachine):
     @rule(q=st.sampled_from(QUEUES))
     def subscribe(self, q):
         if self._subscribed(q):
+            with pytest.raises(ExclusiveConsumer):
+                self.broker.subscribe(q, "stranger")
             return
         # a fresh consumer each time: delivery resumes at the oldest unacked
         self.subscriptions += 1

@@ -1,5 +1,4 @@
 import gc
-import struct
 import weakref
 
 import pytest
@@ -25,6 +24,32 @@ values = st.one_of(
     st.binary(max_size=40),
     st.text(max_size=40),
 )
+
+
+def _field(raw: bytes) -> bytes:
+    return len(raw).to_bytes(4, "big") + raw
+
+
+def _reference_encode(data: dict, last: int) -> bytes:
+    """The documented layout, written out independently of the codec."""
+    entries = []
+    for key, value in data.items():
+        if isinstance(value, int):
+            body = b"\x01" + value.to_bytes(8, "big", signed=True)
+        elif isinstance(value, bytes):
+            body = b"\x02" + value
+        else:
+            body = b"\x03" + value.encode("utf-8")
+        entries.append((key.encode("utf-8"), body))
+    entries.sort(key=lambda entry: entry[0])
+    out = last.to_bytes(8, "big") + len(entries).to_bytes(4, "big")
+    for kb, body in entries:
+        out += _field(kb) + _field(body)
+    return out
+
+
+class Count(int):
+    """An int subclass, as a caller's own counter type might be."""
 
 
 @given(data=st.dictionaries(keys, values, max_size=12),
@@ -67,17 +92,7 @@ def test_keys_sorted_by_utf8_bytes():
 def test_non_ascii_keys_serialize_in_utf8_byte_order():
     # two, three and four UTF-8 bytes; "😀" sorts before "ａ" in UTF-16
     data = {"é": 1, "ａ": b"w", "😀": "s", "z": 2}
-    ref = bytearray(struct.pack(">QI", 9, len(data)))
-    for kb in sorted(k.encode("utf-8") for k in data):
-        value = data[kb.decode("utf-8")]
-        if isinstance(value, int):
-            vb = b"\x01" + struct.pack(">q", value)
-        elif isinstance(value, bytes):
-            vb = b"\x02" + value
-        else:
-            vb = b"\x03" + value.encode("utf-8")
-        ref += struct.pack(">I", len(kb)) + kb + struct.pack(">I", len(vb)) + vb
-    assert serialize_state(ServiceState(data, 9)) == bytes(ref)
+    assert serialize_state(ServiceState(data, 9)) == _reference_encode(data, 9)
 
 
 def test_rejects_bool_and_oversized_int():
@@ -102,42 +117,14 @@ def test_rejects_unknown_tag():
         deserialize_state(bad)
 
 
-def _field(raw: bytes) -> bytes:
-    return len(raw).to_bytes(4, "big") + raw
-
-
-def _reference_encode(data: dict, last: int) -> bytes:
-    """The documented layout, written out independently of the codec."""
-    entries = []
-    for key, value in data.items():
-        if isinstance(value, int):
-            body = b"\x01" + value.to_bytes(8, "big", signed=True)
-        elif isinstance(value, bytes):
-            body = b"\x02" + value
-        else:
-            body = b"\x03" + value.encode("utf-8")
-        entries.append((key.encode("utf-8"), body))
-    entries.sort(key=lambda entry: entry[0])
-    out = last.to_bytes(8, "big") + len(entries).to_bytes(4, "big")
-    for kb, body in entries:
-        out += _field(kb) + _field(body)
-    return out
-
-
-class Count(int):
-    """An int subclass, as a caller's own counter type might be."""
-
-
-int64s = st.one_of(st.sampled_from([-(2 ** 63), 2 ** 63 - 1, 0, -1]),
+int64s = st.one_of(st.sampled_from([-(2 ** 63), 2 ** 63 - 1]),
                    st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1))
-codec_keys = st.text(min_size=1, max_size=8)
-codec_values = st.one_of(int64s, int64s.map(Count), st.binary(max_size=20),
-                         st.text(max_size=20))
+codec_values = st.one_of(values, int64s, int64s.map(Count))
 
 
 @example(data={"é": 1, "😀": Count(-(2 ** 63)), "ａ": "ü", "z": b"\xff"},
          last=2 ** 64 - 1, bad=2 ** 63)
-@given(data=st.dictionaries(codec_keys, codec_values, max_size=10),
+@given(data=st.dictionaries(keys, codec_values, max_size=10),
        last=st.integers(min_value=0, max_value=2 ** 64 - 1),
        bad=st.sampled_from([2 ** 63, -(2 ** 63) - 1, Count(2 ** 63), True,
                             False]))
@@ -156,8 +143,10 @@ def test_serialize_matches_a_reference_encoder(data, last, bad):
             if isinstance(bad, bool) else f"int out of 64-bit range: {bad}")
 
 
-@given(data=st.dictionaries(codec_keys, codec_values, max_size=4))
+@example(data={"é": 1, "zz": "ü"})
+@given(data=st.dictionaries(keys, codec_values, max_size=4))
 def test_every_proper_prefix_is_refused(data):
+    # a cut inside a multi-byte character used to leak UnicodeDecodeError
     blob = serialize_state(ServiceState(data, 3))
     for end in range(len(blob)):
         with pytest.raises(SerializationError):
@@ -165,11 +154,7 @@ def test_every_proper_prefix_is_refused(data):
 
 
 def test_truncated_or_invalid_utf8_raises_serialization_error_only():
-    # a cut inside a multi-byte character used to leak UnicodeDecodeError
     blob = serialize_state(ServiceState({"é": 1, "zz": "ü"}, 3))
-    for end in range(len(blob)):
-        with pytest.raises(SerializationError):
-            deserialize_state(blob[:end])
     # a 12-byte header, "zz" and its str "ü" at 12-24, then "é" and its int
     for end, text in ((17, "truncated key"), (20, "truncated value length"),
                       (24, "truncated value of key 'zz'"),
