@@ -12,7 +12,8 @@ the in-flight message is always the head and an ack pops it from the left.
 
 A consumer is woken when it subscribes to a queue that holds messages and
 when a publish reaches its queue while nothing is in flight. An ack wakes
-nobody: the consumer that acked polls again itself.
+nobody: it returns how many messages are still buffered, so the consumer
+that acked knows without a poll whether there is more to take.
 """
 
 from __future__ import annotations
@@ -158,7 +159,8 @@ class Broker:
         q.published_total += 1
         if q.mirror is not None and mid >= q.mirror[1]:
             self._append_mirrored(self.queue(q.mirror[0]), msg)
-        self._notify(q)
+        if q._wake is not None:  # only a consumer can be woken
+            self._notify(q)
         return mid
 
     def _append_mirrored(self, target: Queue, msg: Message) -> None:
@@ -179,7 +181,8 @@ class Broker:
 
         Messages that are already buffered are copied first, in order, so the
         target ends up with the complete id >= start_id subsequence even when
-        mirroring starts after some of those publishes happened.
+        mirroring starts after some of those publishes happened. A start that
+        would break the target's id order is refused before anything changes.
         """
         q = self.queue(name)
         target = self.queue(target_name)
@@ -189,10 +192,15 @@ class Broker:
             raise BrokerError("queue cannot mirror onto itself")
         if start_id < 1:
             raise BrokerError("start_id must be >= 1")
+        # the backfill's ids only grow, so if its first copy fits, all do
+        backfill = [msg for msg in q._messages if msg.id >= start_id]
+        if (backfill and target._messages
+                and backfill[0].id <= target._messages[-1].id):
+            raise BrokerError(
+                f"mirror append would break id order on {target_name!r}")
         q.mirror = (target_name, start_id)
-        for msg in q._messages:
-            if msg.id >= start_id:
-                self._append_mirrored(target, msg)
+        for msg in backfill:
+            self._append_mirrored(target, msg)
 
     def stop_mirror(self, name: str) -> None:
         q = self.queue(name)
@@ -208,7 +216,8 @@ class Broker:
         Delivery resumes at the oldest unacknowledged message. on_wake()
         fires, via a scheduled event, on subscribing to a non-empty queue and
         on a publish while nothing is in flight. It does not fire after an
-        ack: the consumer polls again once it has acked.
+        ack: the consumer polls again once it has acked, if ack reports
+        messages left.
         """
         q = self.queue(name)
         if q.subscriber is not None:
@@ -269,9 +278,10 @@ class Broker:
         q.inflight = msg.id
         return msg
 
-    def ack(self, name: str, consumer: str, message_id: int) -> None:
+    def ack(self, name: str, consumer: str, message_id: int) -> int:
         """Confirm the in-flight delivery; the message leaves the buffer.
-        Nothing is woken: the consumer polls again after its ack."""
+        Returns how many messages the queue still buffers. Nothing is woken:
+        the consumer polls again after its ack if that count is not zero."""
         try:
             q = self._queues[name]
         except KeyError:
@@ -283,3 +293,4 @@ class Broker:
         # the in-flight message is the head: ids only grow at the tail
         q._messages.popleft()
         q.inflight = None
+        return len(q._messages)

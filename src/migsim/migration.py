@@ -370,8 +370,10 @@ class MigrationManager:
 
     def _drain_check(self) -> None:
         rec = self.record
-        if rec.drain_ms is None and len(self.broker.queue(MAIN_QUEUE)) == 0:
+        if len(self.broker.queue(MAIN_QUEUE)) == 0:
             rec.drain_ms = self.clock.now - rec.completed_at
+            # measured once: the hook leaves so later idles cost nothing
+            self.target_instance.on_idle = None
 
     # -- events -------------------------------------------------------------
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache
 
 from .broker import Broker, Message
 from .simnet import SimClock
@@ -68,9 +68,14 @@ _TAG_STR = 0x03
 _HEADER = struct.Struct(">QI")
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
-# an int entry's value field is this prefix (length 9, tag) and an int64
-_INT_PREFIX = _U32.pack(9) + bytes([_TAG_INT])
 _I64_MIN, _I64_MAX = -(2 ** 63), 2 ** 63 - 1
+
+
+@lru_cache(maxsize=128)
+def _int_entry(key_len: int) -> struct.Struct:
+    """A whole entry whose value is an int, for keys of key_len bytes: key
+    length, key, value length (9), tag and int64, in one pack or unpack."""
+    return struct.Struct(f">I{key_len}sIBq")
 
 
 def _encode_value(value: Scalar) -> bytes:
@@ -88,14 +93,6 @@ def _encode_value(value: Scalar) -> bytes:
     raise SerializationError(f"unsupported value type {type(value).__name__}")
 
 
-def _utf8(raw: bytes, what: str) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError:
-        raise SerializationError(
-            f"{what} is not valid UTF-8: {raw[:40]!r}") from None
-
-
 def _decode_value(raw: bytes, key: str) -> Scalar:
     if not raw:
         raise SerializationError("empty value field")
@@ -107,7 +104,11 @@ def _decode_value(raw: bytes, key: str) -> Scalar:
     if tag == _TAG_BYTES:
         return body
     if tag == _TAG_STR:
-        return _utf8(body, f"value of key {key!r}")
+        try:
+            return body.decode("utf-8")
+        except UnicodeDecodeError:
+            raise SerializationError(f"value of key {key!r} is not valid "
+                                     f"UTF-8: {body[:40]!r}") from None
     raise SerializationError(f"unknown value tag {tag:#x}")
 
 
@@ -116,53 +117,67 @@ def serialize_state(state: ServiceState) -> bytes:
         raise SerializationError("last_processed_id must be >= 0")
     data = state.data
     out = bytearray(_HEADER.pack(state.last_processed_id, len(data)))
-    pack_u32, pack_i64, int_prefix = _U32.pack, _I64.pack, _INT_PREFIX
+    pack_u32, int_entry = _U32.pack, _int_entry
     lo, hi = _I64_MIN, _I64_MAX
     # code-point order is UTF-8 byte order, so the keys sort as they are
     for key in sorted(data):
         kb = key.encode("utf-8")
         value = data[key]
-        out += pack_u32(len(kb))
-        out += kb
         # exact ints in range take the fast path; bool, int subclasses and
         # out-of-range ints get _encode_value's checks and messages
         if type(value) is int and lo <= value <= hi:
-            out += int_prefix
-            out += pack_i64(value)
+            n = len(kb)
+            out += int_entry(n).pack(n, kb, 9, _TAG_INT, value)
         else:
             vb = _encode_value(value)
+            out += pack_u32(len(kb))
+            out += kb
             out += pack_u32(len(vb))
             out += vb
     return bytes(out)
 
 
 def deserialize_state(blob: bytes) -> ServiceState:
+    """Decode a canonical blob. Anything else is refused: a truncated or
+    trailing part, invalid UTF-8, an unknown tag, and keys whose bytes do
+    not strictly increase."""
     size = len(blob)
     if size < 12:
         raise SerializationError("truncated state blob")
     last_id, count = _HEADER.unpack_from(blob, 0)
     offset = 12
     data: dict[str, Scalar] = {}
-    unpack_u32, unpack_i64, int_prefix = (_U32.unpack_from, _I64.unpack_from,
-                                          _INT_PREFIX)
+    unpack_u32, int_entry = _U32.unpack_from, _int_entry
+    prev = None
     for _ in range(count):
         if offset + 4 > size:
             raise SerializationError("truncated key length")
         (klen,) = unpack_u32(blob, offset)
-        offset += 4
-        end = offset + klen
-        if end > size:
+        end = offset + 4 + klen
+        if end + 13 <= size:
+            # read the entry as an int one; other values go the general way
+            _, raw, vlen, tag, number = int_entry(klen).unpack_from(
+                blob, offset)
+        elif end <= size:
+            raw, tag = blob[offset + 4:end], None
+        else:
             raise SerializationError("truncated key")
-        key = _utf8(blob[offset:end], "key")
-        offset = end
-        if blob.startswith(int_prefix, offset) and offset + 13 <= size:
-            data[key] = unpack_i64(blob, offset + 5)[0]
-            offset += 13
+        try:
+            key = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise SerializationError(
+                f"key is not valid UTF-8: {raw[:40]!r}") from None
+        if prev is not None and raw <= prev:
+            raise SerializationError(f"key {key!r} is repeated or out of order")
+        prev = raw
+        if tag == _TAG_INT and vlen == 9:
+            data[key] = number
+            offset = end + 13
             continue
-        if offset + 4 > size:
+        if end + 4 > size:
             raise SerializationError("truncated value length")
-        (vlen,) = unpack_u32(blob, offset)
-        offset += 4
+        (vlen,) = unpack_u32(blob, end)
+        offset = end + 4
         end = offset + vlen
         if end > size:
             raise SerializationError(f"truncated value of key {key!r}")
@@ -186,13 +201,6 @@ class Checkpoint:
     checkpoint_last_id: int
 
 
-def _key(raw: bytes) -> str:
-    try:
-        return raw.decode("ascii")
-    except UnicodeDecodeError:
-        raise UnknownCommand(f"non-ASCII key: {raw[:40]!r}") from None
-
-
 def handle(state: ServiceState, msg: Message) -> tuple[ServiceState, list[bytes]]:
     """Apply one input message to state in place and return (state, outputs)
     with the same state object. Deterministic: the same state and message
@@ -211,28 +219,37 @@ def handle(state: ServiceState, msg: Message) -> tuple[ServiceState, list[bytes]
         raise StaleMessage(
             f"id {msg.id} <= last processed {state.last_processed_id}")
     payload = msg.payload
-    op = payload.split(b" ", 1)[0]
-    if op == b"set":
-        parts = payload.split(b" ", 2)
-        if len(parts) != 3 or not parts[1]:
-            raise UnknownCommand(f"malformed set: {payload[:40]!r}")
-        key = _key(parts[1])
-        value = parts[2]
-        outputs = [b"ok %d set %s" % (msg.id, parts[1])]
-    elif op == b"add":
-        parts = payload.split(b" ", 3)
+    # add is the hot op: its one split also yields the op
+    parts = payload.split(b" ", 3)
+    op = parts[0]
+    if op == b"add":
         if len(parts) < 3 or not parts[1]:
             raise UnknownCommand(f"malformed add: {payload[:40]!r}")
-        key = _key(parts[1])
+        raw = parts[1]
         try:
+            key = raw.decode("ascii")
             delta = int(parts[2])
+        except UnicodeDecodeError:  # a ValueError too, so caught first
+            raise UnknownCommand(f"non-ASCII key: {raw[:40]!r}") from None
         except ValueError:
             raise UnknownCommand(f"bad increment: {parts[2]!r}") from None
         old = state.data.get(key, 0)
         if not isinstance(old, int):
             raise UnknownCommand(f"key {key!r} is not a counter")
         value = old + delta
-        outputs = [b"ok %d %s=%d" % (msg.id, parts[1], value)]
+        outputs = [b"ok %d %s=%d" % (msg.id, raw, value)]
+    elif op == b"set":
+        # the value may hold spaces, so it is everything after the key
+        parts = payload.split(b" ", 2)
+        if len(parts) != 3 or not parts[1]:
+            raise UnknownCommand(f"malformed set: {payload[:40]!r}")
+        raw = parts[1]
+        try:
+            key = raw.decode("ascii")
+        except UnicodeDecodeError:
+            raise UnknownCommand(f"non-ASCII key: {raw[:40]!r}") from None
+        value = parts[2]
+        outputs = [b"ok %d set %s" % (msg.id, raw)]
     else:
         raise UnknownCommand(f"unknown op {op!r}")
     state.data[key] = value
@@ -257,7 +274,11 @@ class ServiceInstance:
     replayed_count records the message), and the delivery is acked. State
     changes and output emission happen together at completion time, so a
     pause or crash before completion leaves the message fully unapplied and
-    still buffered for redelivery.
+    still buffered for redelivery. The ack reports how many messages are
+    still buffered: the instance polls again only if there are any (or a
+    handoff or a frozen replay decides what comes next), and otherwise goes
+    idle at once, since a poll could only find the queue empty. A publish
+    wakes it again.
 
     Hooks (all optional): on_mode_change(instance, old, new) after every mode
     change, on_idle() when a drained queue leaves nothing to poll. The
@@ -285,6 +306,7 @@ class ServiceInstance:
         self.on_idle = None
         self._queue: str | None = None  # consumed as instance_id
         self._pending = None            # the in-flight message's completion
+        self._msg: Message | None = None  # the message polled last
         self._then = None               # step deferred until that completion
         self._idle = True
         self._frozen = False
@@ -450,9 +472,10 @@ class ServiceInstance:
             self._mark_idle()
             return
         self._idle = False
+        self._msg = msg
         clock = self.clock
         self._pending = clock.schedule_at(
-            clock.now + self.processing_ms, partial(self._complete, msg))
+            clock.now + self.processing_ms, self._complete)
 
     def _switched_at_watermark(self) -> bool:
         """Switch to the main queue once the replay has applied the watermark
@@ -473,7 +496,8 @@ class ServiceInstance:
                 f"{watermark}")
         return False
 
-    def _complete(self, msg: Message) -> None:
+    def _complete(self) -> None:
+        msg = self._msg
         self._pending = None
         try:
             new_state, outputs = handle(self.state, msg)
@@ -492,12 +516,18 @@ class ServiceInstance:
                     self.broker.publish(self.output_topic, out)
             else:
                 self.replayed_count += 1
-        self.broker.ack(self._queue, self.instance_id, msg.id)
+        left = self.broker.ack(self._queue, self.instance_id, msg.id)
         then, self._then = self._then, None
         if then is not None:
             then()
-        else:
+        elif left or self._handoff is not None or self._frozen:
             self._try_next()
+        else:
+            # the poll _try_next would make finds the queue empty, and the
+            # instance has been busy since its last poll: it goes idle
+            self._idle = True
+            if self.on_idle is not None:
+                self.on_idle()
 
     def detach_hooks(self) -> None:
         """Drop the hooks and any step waiting on a completion, so that the

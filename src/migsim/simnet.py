@@ -15,6 +15,10 @@ from operator import itemgetter
 
 from .rules import check, param
 
+# bound once: schedule_at runs for every event
+_heappush = heapq.heappush
+_INF = math.inf
+
 
 class SimError(Exception):
     pass
@@ -52,10 +56,10 @@ class SimClock:
 
     def schedule_at(self, time_ms: float, fn) -> list:
         # NaN fails both comparisons, and an event at inf would end the run there
-        if not self.now <= time_ms < math.inf:
+        if not self.now <= time_ms < _INF:
             self._refuse(time_ms)
         ev = [time_ms, self._seq, fn]
-        heapq.heappush(self._heap, ev)
+        _heappush(self._heap, ev)
         self._seq += 1
         return ev
 

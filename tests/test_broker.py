@@ -66,9 +66,11 @@ def test_poll_ack_cycle(broker):
     # single outstanding delivery: next poll waits for the ack
     assert broker.poll("q", "c") is None
     assert broker.peek("q", "c") is None
-    broker.ack("q", "c", 1)
+    # ack reports what is left, so the consumer knows whether to poll
+    assert broker.ack("q", "c", 1) == 1
     assert broker.queue("q").ids() == [2]
     assert broker.poll("q", "c").id == 2
+    assert broker.ack("q", "c", 2) == 0
 
 
 def test_ack_wrong_id_rejected(broker):
@@ -238,6 +240,22 @@ def test_stop_mirror_halts_propagation(broker):
         broker.stop_mirror("main")
 
 
+def test_refused_mirror_restart_leaves_no_mirror_behind(broker):
+    broker.create_queue("main")
+    broker.create_queue("sec")
+    broker.publish("main", b"a")
+    broker.publish("main", b"b")
+    broker.start_mirror("main", "sec", 1)
+    broker.stop_mirror("main")
+    # the backfill of ids 1 and 2 would land at or below sec's tail
+    with pytest.raises(BrokerError, match="would break id order on 'sec'"):
+        broker.start_mirror("main", "sec", 1)
+    assert broker.queue("main").mirror is None
+    assert broker.queue("sec").ids() == [1, 2]
+    broker.publish("main", b"c")
+    assert broker.queue("sec").ids() == [1, 2]
+
+
 def test_consuming_main_does_not_touch_mirror(broker):
     broker.create_queue("main")
     broker.create_queue("sec")
@@ -365,8 +383,10 @@ class BrokerMachine(RuleBasedStateMachine):
     def ack(self, q):
         if not self._subscribed(q) or self.inflight[q] is None:
             return
-        self.broker.ack(q, self.consumer[q], self.inflight[q])
+        left = self.broker.ack(q, self.consumer[q], self.inflight[q])
         assert self.model[q].pop(0) == self.inflight[q]
+        # on sec, the mirrored copies still buffered count too
+        assert left == len(self.model[q])
         self.inflight[q] = None
 
     @rule(q=st.sampled_from(QUEUES),
@@ -389,6 +409,19 @@ class BrokerMachine(RuleBasedStateMachine):
         self.broker.start_mirror("main", "sec", start)
         self.mirror_start = start
         self.model["sec"] += [i for i in self.model["main"] if i >= start]
+
+    @precondition(lambda self: self.mirror_start is None and self.model["sec"]
+                  and self.model["main"]
+                  and self.model["main"][0] <= self.model["sec"][-1])
+    @rule(start=st.integers(min_value=1, max_value=40))
+    def refused_mirror_restart(self, start):
+        # a buffered main id at or below sec's tail would be copied first;
+        # the invariant then finds both buffers unchanged
+        sec_tail = self.model["sec"][-1]
+        start = min(start, max(i for i in self.model["main"] if i <= sec_tail))
+        with pytest.raises(BrokerError):
+            self.broker.start_mirror("main", "sec", start)
+        assert self.broker.queue("main").mirror is None
 
     @precondition(lambda self: self.mirror_start is not None)
     @rule()
