@@ -276,9 +276,9 @@ class ServiceInstance:
     pause or crash before completion leaves the message fully unapplied and
     still buffered for redelivery. The ack reports how many messages are
     still buffered: the instance polls again only if there are any (or a
-    handoff or a frozen replay decides what comes next), and otherwise goes
-    idle at once, since a poll could only find the queue empty. A publish
-    wakes it again.
+    pending handoff decides what comes next), and otherwise goes idle at
+    once, since a poll could only find the queue empty. A publish wakes it
+    again.
 
     Hooks (all optional): on_mode_change(instance, old, new) after every mode
     change, on_idle() when a drained queue leaves nothing to poll. The
@@ -520,11 +520,12 @@ class ServiceInstance:
         then, self._then = self._then, None
         if then is not None:
             then()
-        elif left or self._handoff is not None or self._frozen:
+        elif left or self._handoff is not None:
             self._try_next()
         else:
             # the poll _try_next would make finds the queue empty, and the
-            # instance has been busy since its last poll: it goes idle
+            # instance has been busy since its last poll: it goes idle. A
+            # frozen replay never gets here: its on_frozen step was waiting.
             self._idle = True
             if self.on_idle is not None:
                 self.on_idle()

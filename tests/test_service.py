@@ -497,6 +497,23 @@ def test_finish_replay_switches_to_main_at_watermark():
     assert outs == [b"ok 2 n=2"]
 
 
+def test_finish_replay_switches_when_the_watermark_empties_the_queue():
+    # the ack of the watermark message reports an empty replay queue; the
+    # switch still happens at that completion, not at some later publish
+    clock, broker, inst = _rig(processing_ms=1.0)
+    broker.create_queue("in.sec")
+    broker.start_mirror("in", "in.sec", 1)
+    broker.publish("in", b"add n 1")
+    broker.publish("in", b"add n 1")
+    inst.enter_replay("in.sec")
+    switched = []
+    inst.finish_replay(2, "in", lambda: switched.append(clock.now))
+    clock.run_until()
+    assert switched == [2.0]
+    assert inst.mode is Mode.SERVING
+    assert (inst.replayed_count, inst.rejected_count) == (2, 2)
+
+
 def test_request_stop_finishes_in_flight_first():
     def run(crash_at=None):
         clock, broker, inst = _rig(processing_ms=4.0)
