@@ -628,11 +628,12 @@ def _calls_into_migsim(rate: float, processing_ms: float,
         if event == "call" and frame.f_code.co_filename.startswith(package):
             calls += 1
 
+    previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         result = sim.run()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
     return calls, result.published_main
 
 
