@@ -10,10 +10,11 @@ A queue's buffer is a FIFO deque in id order. Publishing and mirroring only
 append, a poll delivers the head, and at most one delivery is in flight, so
 the in-flight message is always the head and an ack pops it from the left.
 
-A consumer is woken when it subscribes to a queue that holds messages and
-when a publish reaches its queue while nothing is in flight. An ack wakes
-nobody: it returns how many messages are still buffered, so the consumer
-that acked knows without a poll whether there is more to take.
+A consumer is woken, after delivery_latency_ms, when it subscribes to a
+queue that holds messages and when a publish reaches its queue while it is
+idle: nothing in flight and no wake already on its way. An ack wakes nobody:
+it returns how many messages are still buffered, so the consumer that acked
+knows without a poll whether there is more to take.
 """
 
 from __future__ import annotations
@@ -159,8 +160,15 @@ class Broker:
         q.published_total += 1
         if q.mirror is not None and mid >= q.mirror[1]:
             self._append_mirrored(self.queue(q.mirror[0]), msg)
-        if q._wake is not None:  # only a consumer can be woken
-            self._notify(q)
+        # _notify's rule, checked here because the queue cannot be empty: a
+        # busy consumer's publishes, and the consumerless output queue's,
+        # then cost no call
+        if (q._wake is not None and q.inflight is None
+                and not q._wake_pending):
+            q._wake_pending = True
+            clock = self.clock
+            clock.schedule_at(clock.now + self.delivery_latency_ms,
+                              q._fire_wake)
         return mid
 
     def _append_mirrored(self, target: Queue, msg: Message) -> None:
@@ -214,10 +222,10 @@ class Broker:
         """Attach the single consumer of a queue.
 
         Delivery resumes at the oldest unacknowledged message. on_wake()
-        fires, via a scheduled event, on subscribing to a non-empty queue and
-        on a publish while nothing is in flight. It does not fire after an
-        ack: the consumer polls again once it has acked, if ack reports
-        messages left.
+        fires delivery_latency_ms after subscribing to a non-empty queue and
+        after a publish that finds the consumer idle: nothing in flight and
+        no wake already pending. It does not fire after an ack: the consumer
+        polls again once it has acked, if ack reports messages left.
         """
         q = self.queue(name)
         if q.subscriber is not None:

@@ -275,10 +275,10 @@ class ServiceInstance:
     changes and output emission happen together at completion time, so a
     pause or crash before completion leaves the message fully unapplied and
     still buffered for redelivery. The ack reports how many messages are
-    still buffered: the instance polls again only if there are any (or a
-    pending handoff decides what comes next), and otherwise goes idle at
-    once, since a poll could only find the queue empty. A publish wakes it
-    again.
+    still buffered. If there are any, the completion that acked takes the
+    next one itself, unless a deferred step or a pending handoff decides
+    what comes next; if there are none, the instance goes idle at once,
+    since a poll could only find the queue empty. A publish wakes it again.
 
     Hooks (all optional): on_mode_change(instance, old, new) after every mode
     change, on_idle() when a drained queue leaves nothing to poll. The
@@ -520,12 +520,19 @@ class ServiceInstance:
         then, self._then = self._then, None
         if then is not None:
             then()
-        elif left or self._handoff is not None:
+        elif self._handoff is not None:
             self._try_next()
+        elif left:
+            # _try_next's poll without its checks, which this completion has
+            # answered: attached, not busy, and a frozen replay never gets
+            # here, since its on_frozen step was waiting
+            self._msg = self.broker.poll(self._queue, self.instance_id)
+            clock = self.clock
+            self._pending = clock.schedule_at(
+                clock.now + self.processing_ms, self._complete)
         else:
             # the poll _try_next would make finds the queue empty, and the
-            # instance has been busy since its last poll: it goes idle. A
-            # frozen replay never gets here: its on_frozen step was waiting.
+            # instance has been busy since its last poll: it goes idle
             self._idle = True
             if self.on_idle is not None:
                 self.on_idle()

@@ -35,8 +35,9 @@ class SimClock:
     and the loop skips it when it is popped.
 
     A stream given to feed() fires as if every arrival had been scheduled
-    before any other event, but only the next arrival is on the heap at a
-    time, so the heap holds what is in flight rather than the whole stream.
+    before any other event, but the stream has one heap entry, re-armed
+    with the next arrival's time each time one fires, so the heap holds
+    what is in flight rather than the whole stream.
     """
 
     def __init__(self) -> None:
@@ -47,6 +48,7 @@ class SimClock:
         self._feed: list[tuple[float, object]] | None = None
         self._feed_fn = None
         self._fed = 0  # arrivals of the feed put on the heap so far
+        self._arrival: list | None = None  # the feed's one heap entry
 
     def schedule(self, delay_ms: float, fn) -> list:
         """Schedule fn() to run delay_ms from now. Negative delays are refused."""
@@ -76,9 +78,11 @@ class SimClock:
         their list order. Every time is checked here, with schedule_at's
         messages, so a bad stream fails before the run. An arrival fires
         before any other event at the same time, exactly as if the whole
-        stream had been scheduled first; each still enters the heap through
-        schedule_at, one at a time, and counts as an event. A clock takes
-        one feed at a time.
+        stream had been scheduled first, and counts as an event. Only the
+        first arrival enters the heap through schedule_at; each later one
+        re-arms that same entry, so a schedule_at that wraps the callback
+        sees every arrival fire through its wrapper. A clock takes one feed
+        at a time.
         """
         if self._feed is not None:
             raise SimError("the clock is already feeding a stream")
@@ -88,25 +92,27 @@ class SimClock:
                 self._refuse(time_ms)
         if items:
             items.sort(key=itemgetter(0))  # stable: equal times keep order
-            self._feed, self._feed_fn, self._fed = items, fn, 0
-            self._schedule_arrival()
-
-    def _schedule_arrival(self) -> None:
-        # seq -1 sorts below every regular event; only one arrival is on the
-        # heap at a time, so no two entries ever share it. feed() checked the
-        # time, so schedule_at cannot raise between the swaps.
-        seq, self._seq = self._seq, -1
-        self.schedule_at(self._feed[self._fed][0], self._arrive)
-        self._seq = seq
-        self._fed += 1
+            self._feed, self._feed_fn, self._fed = items, fn, 1
+            # seq -1 sorts below every regular event, and only the feed's
+            # entry carries it. The time was checked above, so schedule_at
+            # cannot raise between the swaps.
+            seq, self._seq = self._seq, -1
+            self._arrival = self.schedule_at(items[0][0], self._arrive)
+            self._seq = seq
 
     def _arrive(self) -> None:
-        item = self._feed[self._fed - 1][1]
+        feed = self._feed
+        fed = self._fed
+        item = feed[fed - 1][1]
         fn = self._feed_fn
-        if self._fed < len(self._feed):
-            self._schedule_arrival()
+        if fed < len(feed):
+            # the loop has popped the entry: push it back at the next time
+            ev = self._arrival
+            ev[0] = feed[fed][0]
+            _heappush(self._heap, ev)
+            self._fed = fed + 1
         else:
-            self._feed = self._feed_fn = None
+            self._feed = self._feed_fn = self._arrival = None
         fn(item)
 
     def cancel(self, event: list) -> None:
@@ -125,7 +131,7 @@ class SimClock:
         for ev in self._heap:
             ev[2] = None
         self._heap.clear()
-        self._feed = self._feed_fn = None
+        self._feed = self._feed_fn = self._arrival = None
 
     def run_until(self, max_events: int = 10_000_000) -> float:
         """Run events in order until the queue drains. Returns the final time.

@@ -158,6 +158,21 @@ def test_ack_with_messages_queued_schedules_no_wake(broker):
     assert broker.poll("q", "c").id == 2
 
 
+def test_publish_while_in_flight_schedules_no_wake(broker):
+    clock = broker.clock
+    broker.create_queue("q")
+    wakes = []
+    broker.subscribe("q", "c", on_wake=lambda: wakes.append(clock.now))
+    broker.publish("q", b"one")
+    clock.run_until()
+    msg = broker.poll("q", "c")
+    broker.publish("q", b"two")
+    # a busy consumer learns of it from ack's count, not from a wake
+    assert clock.pending() == 0
+    assert broker.ack("q", "c", msg.id) == 1
+    assert wakes == [0.0]
+
+
 def test_message_fields_cannot_be_assigned(broker):
     broker.create_queue("q")
     broker.subscribe("q", "c")

@@ -610,7 +610,7 @@ def test_idle_hook_edge_triggered():
 # processing) and on a busy one (150/s, 10 ms). The count is deterministic,
 # so it guards the serve path's cost without timing anything. Raise a budget
 # only together with a benchmark record that shows why.
-SERVE_CALL_BUDGET = {"idle": 14, "busy": 12}
+SERVE_CALL_BUDGET = {"idle": 11, "busy": 8}
 
 
 def _calls_into_migsim(rate: float, processing_ms: float,

@@ -206,6 +206,64 @@ def test_feed_checks_every_time_up_front():
         clock.feed([(12.0, "b")], print)
 
 
+class _WrappingClock(SimClock):
+    """A clock whose schedule_at counts its calls and wraps each callback to
+    count what fires, as perfbench's tracer does."""
+
+    def __init__(self):
+        super().__init__()
+        self.scheduled = 0
+        self.fired = 0
+
+    def schedule_at(self, time_ms, fn):
+        self.scheduled += 1
+
+        def wrapper():
+            self.fired += 1
+            fn()
+
+        return super().schedule_at(time_ms, wrapper)
+
+
+def test_feed_rearms_one_entry_that_fires_through_the_wrapper():
+    clock = _WrappingClock()
+    stream = [(3.0, "c1"), (1.0, "a1"), (2.0, "b"), (1.0, "a2"),
+              (3.0, "c2"), (0.5, "z"), (1.0, "a3")]
+    seen, pending = [], []
+
+    def arrive(item):
+        seen.append((clock.now, item))
+        pending.append(clock.pending())
+
+    clock.feed(stream, arrive)
+    pending.append(clock.pending())
+    clock.run_until()
+    assert clock.scheduled == 1
+    assert seen == [(0.5, "z"), (1.0, "a1"), (1.0, "a2"), (1.0, "a3"),
+                    (2.0, "b"), (3.0, "c1"), (3.0, "c2")]
+    assert clock.fired == clock.events_processed == len(stream)
+    assert pending == list(range(len(stream), -1, -1))
+
+
+def test_clear_in_the_middle_of_a_feed_drops_the_rest():
+    clock = _WrappingClock()
+    seen = []
+
+    def arrive(item):
+        seen.append(item)
+        if item == 2:
+            clock.clear()
+
+    clock.feed([(float(t), t) for t in range(5)], arrive)
+    clock.run_until()
+    assert seen == [0, 1, 2] and clock.fired == clock.events_processed == 3
+    assert clock.pending() == 0
+    # the clock takes a new feed once the old one is dropped
+    clock.feed([(9.0, "x")], seen.append)
+    clock.run_until()
+    assert seen[-1] == "x" and clock.scheduled == 2
+
+
 class _Callback:
     def __init__(self, seen):
         self.seen = seen
