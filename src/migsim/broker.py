@@ -14,7 +14,8 @@ A consumer is woken, after delivery_latency_ms, when it subscribes to a
 queue that holds messages and when a publish reaches its queue while it is
 idle: nothing in flight and no wake already on its way. An ack wakes nobody:
 it returns how many messages are still buffered, so the consumer that acked
-knows without a poll whether there is more to take.
+knows without a poll whether there is more to take. A wake belongs to the
+subscription that scheduled it; unsubscribing cancels it.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class Queue:
         self.inflight: int | None = None  # delivered, not yet acked
         self.published_total = 0
         self._wake = None
-        self._wake_pending = False
+        self._wake_event: list | None = None  # the scheduled wake, if any
 
     def __len__(self) -> int:
         return len(self._messages)
@@ -98,7 +99,7 @@ class Queue:
         return self._messages[0] if self._messages else None
 
     def _fire_wake(self) -> None:
-        self._wake_pending = False
+        self._wake_event = None
         if self._wake is not None:
             self._wake()
 
@@ -164,11 +165,10 @@ class Broker:
         # busy consumer's publishes, and the consumerless output queue's,
         # then cost no call
         if (q._wake is not None and q.inflight is None
-                and not q._wake_pending):
-            q._wake_pending = True
+                and q._wake_event is None):
             clock = self.clock
-            clock.schedule_at(clock.now + self.delivery_latency_ms,
-                              q._fire_wake)
+            q._wake_event = clock.schedule_at(
+                clock.now + self.delivery_latency_ms, q._fire_wake)
         return mid
 
     def _append_mirrored(self, target: Queue, msg: Message) -> None:
@@ -237,13 +237,17 @@ class Broker:
 
     def unsubscribe(self, name: str, consumer: str) -> None:
         """Detach the consumer. Unacknowledged messages stay buffered and any
-        in-flight delivery becomes deliverable again."""
+        in-flight delivery becomes deliverable again. A pending wake is
+        cancelled: it belonged to this subscription, and the next subscriber
+        is woken on its own schedule."""
         q = self.queue(name)
         if q.subscriber != consumer:
             raise NotSubscribed(f"{consumer!r} is not the consumer of {name!r}")
         q.subscriber = None
         q._wake = None
-        q._wake_pending = False
+        if q._wake_event is not None:
+            self.clock.cancel(q._wake_event)
+            q._wake_event = None
         q.inflight = None
 
     def detach_wakes(self) -> None:
@@ -253,12 +257,12 @@ class Broker:
             q._wake = None
 
     def _notify(self, q: Queue) -> None:
-        if (q._wake is None or q._wake_pending
+        if (q._wake is None or q._wake_event is not None
                 or q.inflight is not None or not q._messages):
             return
-        q._wake_pending = True
         clock = self.clock
-        clock.schedule_at(clock.now + self.delivery_latency_ms, q._fire_wake)
+        q._wake_event = clock.schedule_at(
+            clock.now + self.delivery_latency_ms, q._fire_wake)
 
     # -- consumption -------------------------------------------------------
 

@@ -158,6 +158,21 @@ def test_ack_with_messages_queued_schedules_no_wake(broker):
     assert broker.poll("q", "c").id == 2
 
 
+def test_unsubscribing_cancels_the_wake_it_was_owed():
+    clock = SimClock()
+    broker = Broker(clock, delivery_latency_ms=5.0)
+    broker.create_queue("q")
+    wakes = []
+    broker.subscribe("q", "old", on_wake=lambda: wakes.append(("old", clock.now)))
+    clock.schedule_at(0.0, lambda: broker.publish("q", b"m"))
+    clock.schedule_at(1.0, lambda: broker.unsubscribe("q", "old"))
+    clock.schedule_at(2.0, lambda: broker.subscribe(
+        "q", "new", on_wake=lambda: wakes.append(("new", clock.now))))
+    clock.run_until()
+    # the wake due at 5 was old's; new waits out its own latency
+    assert wakes == [("new", 7.0)]
+
+
 def test_publish_while_in_flight_schedules_no_wake(broker):
     clock = broker.clock
     broker.create_queue("q")
