@@ -198,11 +198,11 @@ ACCEPTANCE2_DIGESTS = [
 EVENTS = {
     "grid": [
         769, 406, 770, 422, 422, 423, 423, 424, 424, 427,
-        429, 433, 435, 438, 538, 770, 679, 373, 504, 384,
-        384, 385, 385, 386, 386, 389, 390, 393, 394, 397,
+        429, 433, 435, 437, 538, 770, 679, 373, 504, 384,
+        384, 385, 385, 386, 386, 389, 390, 393, 394, 396,
         444, 760, 373, 658, 384, 384, 385, 385, 386, 386,
-        389, 390, 394, 395, 397, 522, 735, 405, 597, 421,
-        421, 422, 422, 423, 423, 426, 428, 432, 434, 437,
+        389, 390, 394, 395, 396, 522, 735, 405, 597, 421,
+        421, 422, 422, 423, 423, 426, 428, 432, 434, 436,
         510, 654, 406, 655, 422, 422, 423, 423, 425, 425,
         655, 655, 655, 626, 373, 627, 384, 384, 385, 385,
         387, 387, 627, 627, 627, 626, 373, 627, 384, 384,
