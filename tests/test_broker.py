@@ -163,7 +163,8 @@ def test_unsubscribing_cancels_the_wake_it_was_owed():
     broker = Broker(clock, delivery_latency_ms=5.0)
     broker.create_queue("q")
     wakes = []
-    broker.subscribe("q", "old", on_wake=lambda: wakes.append(("old", clock.now)))
+    broker.subscribe("q", "old",
+                     on_wake=lambda: wakes.append(("old", clock.now)))
     clock.schedule_at(0.0, lambda: broker.publish("q", b"m"))
     clock.schedule_at(1.0, lambda: broker.unsubscribe("q", "old"))
     clock.schedule_at(2.0, lambda: broker.subscribe(
