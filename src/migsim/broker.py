@@ -3,8 +3,10 @@ explicit acknowledgements and queue mirroring.
 
 Delivery is at-least-once: a message leaves the buffer only when acked, so a
 consumer that goes away mid-flight sees the same message again after it (or a
-successor) subscribes. Each queue numbers its messages 1, 2, 3, ... in publish
-order; a mirrored copy keeps the id it was assigned on the source queue.
+successor) subscribes. A message is an (id, payload) pair. Each queue numbers
+its messages 1, 2, 3, ... in publish order; a mirrored message is the source
+queue's own Message object, appended to the target as well, so it keeps its
+id and costs the target one deque slot rather than a copy.
 
 A queue's buffer is a FIFO deque in id order. Publishing and mirroring only
 append, a poll delivers the head, and at most one delivery is in flight, so
@@ -55,12 +57,12 @@ class BadAck(BrokerError):
 
 
 class Message(NamedTuple):
-    """An immutable delivered message; a tuple, so it is cheap to build."""
+    """An immutable message: its id on the queue it was published to, and
+    its payload. A tuple, so it is cheap to build; a mirrored message is
+    the same object on both queues."""
 
     id: int
-    topic: str
     payload: bytes
-    publish_time: float
 
 
 # builds a Message without the namedtuple's Python-level __new__
@@ -89,8 +91,13 @@ class Queue:
     def ids(self) -> list[int]:
         return [m.id for m in self._messages]
 
-    def payloads(self) -> list[bytes]:
-        return [m.payload for m in self._messages]
+    def take_payloads(self) -> list[bytes]:
+        """Empty the buffer of a queue with nothing in flight and return its
+        payloads in id order. published_total and next_id keep counting
+        what was published."""
+        payloads = [payload for _, payload in self._messages]
+        self._messages.clear()
+        return payloads
 
     def messages(self) -> list[Message]:
         return list(self._messages)
@@ -155,7 +162,7 @@ class Broker:
         mid = q.next_id
         if type(payload) is not bytes:
             payload = bytes(payload)
-        msg = _new_message(Message, (mid, name, payload, self.clock.now))
+        msg = _new_message(Message, (mid, payload))
         q._messages.append(msg)
         q.next_id = mid + 1
         q.published_total += 1
@@ -172,25 +179,25 @@ class Broker:
         return mid
 
     def _append_mirrored(self, target: Queue, msg: Message) -> None:
-        # mirrored copies keep the source id; ids must still only grow
+        # the source's own message, shared: it keeps the source id, and
+        # ids must still only grow
         if target._messages and msg.id <= target._messages[-1].id:
             raise BrokerError(
                 f"mirror append would break id order on {target.name!r}")
-        copy = _new_message(
-            Message, (msg.id, target.name, msg.payload, self.clock.now))
-        target._messages.append(copy)
+        target._messages.append(msg)
         target.published_total += 1
-        if copy.id >= target.next_id:
-            target.next_id = copy.id + 1
+        if msg.id >= target.next_id:
+            target.next_id = msg.id + 1
         self._notify(target)
 
     def start_mirror(self, name: str, target_name: str, start_id: int) -> None:
         """Mirror every message with id >= start_id onto the target queue.
 
-        Messages that are already buffered are copied first, in order, so the
-        target ends up with the complete id >= start_id subsequence even when
-        mirroring starts after some of those publishes happened. A start that
-        would break the target's id order is refused before anything changes.
+        Messages that are already buffered are appended first, in order, so
+        the target ends up with the complete id >= start_id subsequence even
+        when mirroring starts after some of those publishes happened. A start
+        that would break the target's id order is refused before anything
+        changes.
         """
         q = self.queue(name)
         target = self.queue(target_name)
@@ -200,7 +207,7 @@ class Broker:
             raise BrokerError("queue cannot mirror onto itself")
         if start_id < 1:
             raise BrokerError("start_id must be >= 1")
-        # the backfill's ids only grow, so if its first copy fits, all do
+        # the backfill's ids only grow, so if its first message fits, all do
         backfill = [msg for msg in q._messages if msg.id >= start_id]
         if (backfill and target._messages
                 and backfill[0].id <= target._messages[-1].id):

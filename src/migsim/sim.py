@@ -212,14 +212,14 @@ class Simulation:
         record = self.manager.record if self.manager is not None else None
         target = self.manager.target_instance if self.manager else None
         candidates = [self.source] + ([target] if target is not None else [])
+        # _on_mode_change refused a second serving instance during the run
         serving = [i for i in candidates if i.mode is Mode.SERVING]
-        if len(serving) > 1:
-            raise SimError("more than one serving instance at end of run")
         final_state = serialize_state(serving[0].state) if serving else None
 
         main = self.broker.queue(MAIN_QUEUE)
         return SimResult(
-            outputs=self.broker.queue(OUTPUT_QUEUE).payloads(),
+            # moved, not copied: the result outlives the queue's Messages
+            outputs=self.broker.queue(OUTPUT_QUEUE).take_payloads(),
             final_state=final_state,
             record=record,
             mode_log=self.mode_log,

@@ -194,11 +194,12 @@ def test_message_fields_cannot_be_assigned(broker):
     broker.subscribe("q", "c")
     broker.publish("q", b"m")
     msg = broker.poll("q", "c")
-    for name, value in (("id", 7), ("topic", "x"), ("payload", b"x"),
-                        ("publish_time", 1.0)):
+    for name, value in (("id", 7), ("payload", b"x")):
         with pytest.raises(AttributeError):
             setattr(msg, name, value)
-    assert (msg.id, msg.topic, msg.payload) == (1, "q", b"m")
+    # a message is its id and payload, nothing else
+    assert msg._fields == ("id", "payload")
+    assert (msg.id, msg.payload) == (1, b"m")
 
 
 # -- mirroring ----------------------------------------------------------------
@@ -228,7 +229,21 @@ def test_mirrored_copy_keeps_source_id_and_payload(broker):
     assert len(copies) == 1
     assert copies[0].id == 1
     assert copies[0].payload == b"payload"
-    assert copies[0].topic == "sec"
+
+
+def test_mirrored_message_is_the_source_object(broker):
+    """A mirror shares the source's Message objects, backfilled or live,
+    rather than building a copy of each."""
+    broker.create_queue("main")
+    broker.create_queue("sec")
+    broker.publish("main", b"old")
+    broker.publish("main", b"backfilled")
+    broker.start_mirror("main", "sec", 2)
+    broker.publish("main", b"live")
+    main, sec = broker.queue("main").messages(), broker.queue("sec").messages()
+    assert [m.id for m in sec] == [2, 3]
+    assert sec[0] is main[1]
+    assert sec[1] is main[2]
 
 
 def test_mirror_ignores_ids_below_start(broker):
@@ -348,8 +363,8 @@ QUEUES = ("main", "sec")
 class BrokerMachine(RuleBasedStateMachine):
     """Publish, poll, ack, unsubscribe/resubscribe and start/stop mirror
     against a model that keeps each queue as a list of ids. Publishes go to
-    main; sec only ever receives mirrored copies. Message n's payload is
-    b"m<n>", so a mirrored copy shows which source message it is."""
+    main; sec only ever receives mirrored messages, which are main's own
+    objects. Message n's payload is b"m<n>"."""
 
     def __init__(self):
         super().__init__()
@@ -359,6 +374,7 @@ class BrokerMachine(RuleBasedStateMachine):
         self.inflight = {q: None for q in QUEUES}
         self.mirror_start = None
         self.published = 0
+        self.sent = {}  # id -> the Message main buffered for it
         self.subscriptions = 0
         for q in QUEUES:
             self.broker.create_queue(q)
@@ -371,6 +387,7 @@ class BrokerMachine(RuleBasedStateMachine):
         self.published += 1
         assert self.broker.publish("main", b"m%d" % self.published) \
             == self.published
+        self.sent[self.published] = self.broker.queue("main").messages()[-1]
         self.model["main"].append(self.published)
         if self.mirror_start is not None \
                 and self.published >= self.mirror_start:
@@ -405,9 +422,10 @@ class BrokerMachine(RuleBasedStateMachine):
         if self.inflight[q] is not None or not self.model[q]:
             assert msg is None
             return
-        # the polled message is the head, and a copy keeps its source id
+        # the polled message is the head, and on sec it is main's own object
         assert msg.id == self.model[q][0]
-        assert (msg.topic, msg.payload) == (q, b"m%d" % msg.id)
+        assert msg.payload == b"m%d" % msg.id
+        assert msg is self.sent[msg.id]
         self.inflight[q] = msg.id
 
     @rule(q=st.sampled_from(QUEUES))

@@ -8,10 +8,11 @@ import pytest
 
 from migsim import service
 from migsim.harness import row_from_record
-from migsim.migration import (Decision, HandoffPolicy, MigrationRecord,
-                              Outcome, Phase, PhaseSpan, Technique,
-                              decide_handoff)
-from migsim.service import Mode, ProtocolError, UnknownCommand
+from migsim.migration import (OUTPUT_QUEUE, Decision, HandoffPolicy,
+                              MigrationRecord, Outcome, Phase, PhaseSpan,
+                              Technique, decide_handoff)
+from migsim.service import (Mode, ProtocolError, ServiceInstance,
+                            ServiceState, UnknownCommand)
 from migsim.sim import FaultSpec, SimParams, Simulation
 from migsim.simnet import Host, Link, SimError
 from migsim.workload import WorkloadSpec, replay_stress_spec
@@ -337,6 +338,30 @@ def test_exactly_once_matches_control(technique):
     assert res.outputs == control.outputs
     assert res.final_state == control.final_state
     assert _ids(res.outputs) == list(range(1, res.published_main + 1))
+
+
+@pytest.mark.parametrize("technique",
+                         [None, Technique.MS2M, Technique.STOP_AND_COPY])
+def test_run_moves_the_outputs_into_the_result(technique):
+    # the output queue's Messages are dropped, but its count stays
+    sim = Simulation(_mk(technique=technique,
+                         trigger_ms=None if technique is None else 1000.0))
+    res = sim.run()
+    out = sim.broker.queue(OUTPUT_QUEUE)
+    assert len(out) == 0
+    assert out.published_total == len(res.outputs) == res.published_main
+
+
+def test_a_second_serving_instance_fails_the_run_at_once():
+    sim = Simulation(_mk(technique=None, trigger_ms=None))
+    twin = ServiceInstance("twin", ServiceState(), sim.clock, sim.broker,
+                           1.0, OUTPUT_QUEUE)
+    twin.on_mode_change = sim.source.on_mode_change
+    sim.broker.create_queue("twin.in")
+    sim.clock.schedule_at(5.0, lambda: twin.start_serving("twin.in"))
+    with pytest.raises(SimError, match=r"^two instances serving at 5\.0: "
+                                       r"\['svc@hs', 'twin'\]$"):
+        sim.run()
 
 
 def test_zero_traffic_watermark_is_checkpoint_id():

@@ -18,7 +18,7 @@ from migsim.workload import WorkloadSpec
 
 
 def _msg(mid: int, payload: bytes) -> Message:
-    return Message(id=mid, topic="in", payload=payload, publish_time=0.0)
+    return Message(id=mid, payload=payload)
 
 
 # -- canonical serialization ---------------------------------------------------
@@ -329,13 +329,21 @@ def test_processing_delay_times_output_emission():
 
 def test_serial_consumption_one_at_a_time():
     clock, broker, inst = _rig(processing_ms=2.0)
+    # a probe that takes each output as it is published, with its time
+    emitted = []
+
+    def take():
+        msg = broker.poll("out", "probe")
+        emitted.append((msg.payload, clock.now))
+        broker.ack("out", "probe", msg.id)
+
+    broker.subscribe("out", "probe", on_wake=take)
     for i in range(3):
         broker.publish("in", b"add n 1")
     inst.start_serving("in")
     clock.run_until()
     # each output is published when its message completes, 2 ms apart
-    assert [(m.payload, m.publish_time)
-            for m in broker.queue("out").messages()] == [
+    assert emitted == [
         (b"ok 1 n=1", 2.0), (b"ok 2 n=2", 4.0), (b"ok 3 n=3", 6.0)]
 
 
@@ -512,6 +520,23 @@ def test_finish_replay_switches_when_the_watermark_empties_the_queue():
     assert switched == [2.0]
     assert inst.mode is Mode.SERVING
     assert (inst.replayed_count, inst.rejected_count) == (2, 2)
+
+
+def test_finish_replay_refuses_a_queue_that_starves_below_the_watermark():
+    # every id up to the watermark is mirrored before it is announced, so a
+    # replay queue that runs dry below it is a protocol bug, not a wait
+    clock, broker, inst = _rig(processing_ms=1.0)
+    broker.create_queue("in.sec")
+    broker.start_mirror("in", "in.sec", 1)
+    broker.publish("in", b"add n 1")
+    broker.publish("in", b"add n 1")
+    inst.enter_replay("in.sec")
+    inst.finish_replay(5, "in", lambda: None)
+    with pytest.raises(ProtocolError,
+                       match=r"^i1: replay starved below watermark 5$"):
+        clock.run_until()
+    assert inst.state.last_processed_id == 2
+    assert inst.mode is Mode.REPLAYING
 
 
 def test_request_stop_finishes_in_flight_first():

@@ -107,9 +107,7 @@ def test_every_generated_payload_applies_cleanly(kind, rate, size, seed):
     spec = WorkloadSpec(kind, rate, 1000, payload_size_bytes=size, seed=seed)
     state = ServiceState()
     for i, (_, payload) in enumerate(generate(spec), start=1):
-        state, outputs = handle(
-            state, Message(id=i, topic="in", payload=payload,
-                           publish_time=0.0))
+        state, outputs = handle(state, Message(id=i, payload=payload))
         assert len(outputs) == 1
     assert state.last_processed_id == len(generate(spec))
 
