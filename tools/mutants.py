@@ -104,6 +104,9 @@ MUTANTS = [
     Mutant("mirror starts at checkpoint_last_id + 2", "src/migsim/migration.py",
            "                                 cp.checkpoint_last_id + 1)\n",
            "                                 cp.checkpoint_last_id + 2)\n"),
+    Mutant("drain hook stays after the drain", "src/migsim/migration.py",
+           "            self.target_instance.on_idle = None\n",
+           "            pass\n"),
     Mutant("every abort reason read as overload", "src/migsim/migration.py",
            '                "timeout" if timeout is not None and elapsed > timeout\n'
            '                else "overload")\n',
