@@ -153,7 +153,9 @@ class Simulation:
         self.broker.create_queue(OUTPUT_QUEUE)
 
         self.mode_log: list[ModeTransition] = []
-        self._serving: set[str] = set()
+        # keyed by object, not instance_id: equal source and target hosts
+        # give both instances the same id
+        self._serving: set[ServiceInstance] = set()
         self._ran = False
 
         self.source = ServiceInstance(
@@ -183,13 +185,13 @@ class Simulation:
         self.mode_log.append(ModeTransition(
             self.clock.now, inst.instance_id, old.value, new.value))
         if new is Mode.SERVING:
-            self._serving.add(inst.instance_id)
+            self._serving.add(inst)
             if len(self._serving) > 1:
                 raise SimError(
                     f"two instances serving at {self.clock.now}: "
-                    f"{sorted(self._serving)}")
+                    f"{sorted(i.instance_id for i in self._serving)}")
         else:
-            self._serving.discard(inst.instance_id)
+            self._serving.discard(inst)
 
     # -- execution -------------------------------------------------------------
 

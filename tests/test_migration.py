@@ -364,6 +364,30 @@ def test_a_second_serving_instance_fails_the_run_at_once():
         sim.run()
 
 
+def test_a_second_serving_instance_with_the_same_id_fails_the_run():
+    # equal source and target hosts give both instances one instance_id
+    sim = Simulation(_mk(technique=None, trigger_ms=None))
+    twin = ServiceInstance(sim.source.instance_id, ServiceState(), sim.clock,
+                           sim.broker, 1.0, OUTPUT_QUEUE)
+    twin.on_mode_change = sim.source.on_mode_change
+    sim.broker.create_queue("twin.in")
+    sim.clock.schedule_at(5.0, lambda: twin.start_serving("twin.in"))
+    with pytest.raises(SimError, match=r"^two instances serving at 5\.0: "
+                                       r"\['svc@hs', 'svc@hs'\]$"):
+        sim.run()
+
+
+def test_migration_between_equal_host_ids_hands_over_serving():
+    host = Host("hs")
+    params = _mk(source_host=host, target_host=host, link=Link("hs", "hs"))
+    res = _run(params)
+    assert res.record.outcome is Outcome.COMPLETED
+    assert res.source.instance_id == res.target.instance_id
+    assert res.source.mode is not Mode.SERVING
+    assert res.target.mode is Mode.SERVING
+    assert res.final_state == _control_of(params).final_state
+
+
 def test_zero_traffic_watermark_is_checkpoint_id():
     params = _mk(workload=None, stream=[], trigger_ms=10.0)
     res = _run(params)

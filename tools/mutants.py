@@ -6,9 +6,9 @@ by the new text in that copy, and tier-1 runs there with -x. A mutant that
 fails a test is KILLED, printed with the first failing test; one that
 passes every test SURVIVED. The last line gives the kill count.
 
-    python3 tools/mutants.py [NAME ...]
+    python3 tools/mutants.py
 
-With names, only those mutants run. Each old text must occur exactly once
+Each old text must occur exactly once
 in its file (a tier-1 test checks this), so an entry cannot silently stop
 applying when the code under it changes. A full run takes minutes, which
 is why it stays outside tier-1.
@@ -157,22 +157,16 @@ def run(mutant: Mutant) -> tuple[bool, str]:
     return True, first_failure(proc.stdout + proc.stderr)
 
 
-def main(argv: list[str]) -> int:
-    names = set(argv[1:])
-    unknown = names - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutant(s): {sorted(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     killed = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         dead, where = run(mutant)
         killed += dead
         print(f"{'KILLED' if dead else 'SURVIVED':8}  {mutant.name}"
               + (f"  ({where})" if dead else ""), flush=True)
-    print(f"killed {killed} of {len(chosen)}")
-    return 0 if killed == len(chosen) else 1
+    print(f"killed {killed} of {len(MUTANTS)}")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
