@@ -201,8 +201,9 @@ class ControlEndpoint:
 
 
 class State(enum.Enum):
-    """Where a migration stands. MigrationManager lists the events each state
-    accepts."""
+    """Where a migration stands. MigrationManager._MS2M and _STOP_AND_COPY
+    declare, per technique, the events each state accepts, the step each
+    runs and the state or states it leads to."""
 
     IDLE = "idle"
     CHECKPOINT = "checkpoint"
@@ -227,37 +228,17 @@ class MigrationManager:
 
     Every step is an event: either a control message, whose payload is the
     bare event name, delivered on one of three per-migration broker queues
-    (q_mgr, q_src, q_tgt), or a phase timer firing. _on_event looks the pair
-    (state, event) up in _TRANSITIONS and runs the step it names. An event
-    the table knows, arriving in a state that has no entry for it, is stale
-    (an abort or an earlier step overtook it) and is dropped; an event the
-    table does not know is a ProtocolError. Every outcome leaves through
+    (q_mgr, q_src, q_tgt), or a phase timer firing. The protocol is a
+    declared graph per technique, _MS2M or _STOP_AND_COPY, picked once when
+    the manager is built; README.md shows both as tables. _on_event looks
+    the pair (state, event) up in it, runs the step the row names and moves
+    to the row's next state, or, for the replay monitor's choice, to the
+    declared state the step returned; any other return is a ProtocolError.
+    An event the graph knows, arriving in a state that has no row for it, is
+    stale (an abort or an earlier step overtook it) and is dropped; an event
+    the graph does not know is a ProtocolError. Every outcome leaves through
     _finish, which tears down, closes and checks the phase timeline, and
     records the outcome.
-
-    MS2M, state by state (event -> step):
-      CHECKPOINT  pause_request -> pause the source; pause_elapsed ->
-                  checkpoint it; checkpoint_elapsed -> mirror the main queue
-                  onto a secondary from the first id the checkpoint misses;
-                  continuation_elapsed -> resume the source; phase1_done ->
-                  TRANSFER
-      TRANSFER    transfer_elapsed -> RESTORE
-      RESTORE     restore_request, restore_elapsed -> restore the target and
-                  start its suppressed replay of the secondary; restored ->
-                  REPLAY
-      REPLAY      replay_idle, check_due -> the replay monitor decides:
-                  handoff -> FREEZE, abort -> ABORT
-      FREEZE      freeze -> freeze the target's replay; frozen -> STOP
-      STOP        stop_request -> stop the source; source_stopped -> the
-                  watermark is announced, HANDOFF
-      HANDOFF     watermark -> the target replays up to the watermark and
-                  switches onto the main queue; switched -> Completed
-      ABORT       discard -> stop the target; discarded -> AbortedDivergence
-
-    StopAndCopy: CHECKPOINT (the source stops after its checkpoint), then
-    TRANSFER, then HANDOFF: restore_request, restore_elapsed,
-    activation_elapsed -> the target serves the main queue; switched ->
-    Completed.
 
     Around the protocol, the manager kills the source (crash_source, which
     aborts the migration in any state before HANDOFF), schedules a fault on
@@ -277,6 +258,8 @@ class MigrationManager:
         self.broker = broker
         self.rng = random.Random(params.seed)  # draws only for link jitter
         self.source = source
+        self._graph = (self._MS2M if params.technique is Technique.MS2M
+                       else self._STOP_AND_COPY)
 
         self.record: MigrationRecord | None = None
         self.state = State.IDLE
@@ -384,11 +367,19 @@ class MigrationManager:
         return self.clock.schedule(delay_ms, lambda: self._on_event(event))
 
     def _on_event(self, event: str) -> None:
-        step = self._TRANSITIONS.get((self.state, event))
-        if step is not None:
-            step(self)
-        elif event not in self._EVENTS:
-            raise ProtocolError(f"unknown control event {event!r}")
+        row = self._graph.get((self.state, event))
+        if row is None:
+            if event not in {e for _state, e in self._graph}:
+                raise ProtocolError(f"unknown control event {event!r}")
+            return  # stale
+        step, nxt = row
+        picked = step(self)
+        if type(nxt) is tuple:
+            if picked not in nxt:
+                raise ProtocolError(f"{event!r} in {self.state} picked "
+                                    f"{picked}, which its row does not declare")
+            nxt = picked
+        self.state = nxt
 
     # -- source-side steps ----------------------------------------------------
 
@@ -403,14 +394,14 @@ class MigrationManager:
         self._after(checkpoint_duration(self.params.source_host, size),
                     "checkpoint_elapsed")
 
-    def _checkpoint_taken(self) -> None:
+    def _take_checkpoint(self) -> Checkpoint:
         cp = self.source.create_checkpoint()
         self.checkpoint = cp
         self.record.checkpoint_size_bytes = cp.size_bytes
-        if self.params.technique is Technique.STOP_AND_COPY:
-            self.source.stop()
-            self._send(self.q_mgr, "phase1_done")
-            return
+        return cp
+
+    def _mirror_and_continue(self) -> None:
+        cp = self._take_checkpoint()
         self.secondary_queue = f"{MAIN_QUEUE}.sec.{MIGRATION_ID}"
         self.broker.create_queue(self.secondary_queue)
         # the secondary must hold every id the checkpoint does not cover,
@@ -419,6 +410,11 @@ class MigrationManager:
                                  cp.checkpoint_last_id + 1)
         self.enter_phase(Phase.CONTINUATION)
         self._after(self.params.continuation_ms, "continuation_elapsed")
+
+    def _stop_at_checkpoint(self) -> None:
+        self._take_checkpoint()
+        self.source.stop()
+        self._send(self.q_mgr, "phase1_done")
 
     def _resume_source(self) -> None:
         self.source.start_serving(MAIN_QUEUE)
@@ -440,22 +436,27 @@ class MigrationManager:
                                      self.checkpoint.size_bytes),
                     "restore_elapsed")
 
-    def _restored(self) -> None:
+    def _restore_target(self) -> ServiceInstance:
         p = self.params
         inst = ServiceInstance.restore(
             self.checkpoint, self.clock, self.broker, p.processing_ms,
             OUTPUT_QUEUE, instance_id=f"{SERVICE_ID}@{p.target_host.id}")
         inst.on_mode_change = self.source.on_mode_change
         self.target_instance = inst
-        if p.technique is Technique.STOP_AND_COPY:
-            # activation: the restored container still pays the unpause cost
-            # before it can serve; it lands inside the restoration span
-            self._after(p.continuation_ms, "activation_elapsed")
-            return
+        return inst
+
+    def _restore_and_replay(self) -> None:
+        inst = self._restore_target()
         self.enter_phase(Phase.REPLAY)
         self._send(self.q_mgr, "restored")
         inst.on_idle = lambda: self._send(self.q_mgr, "replay_idle")
         inst.enter_replay(self.secondary_queue)
+
+    def _restore_and_unpause(self) -> None:
+        self._restore_target()
+        # the restored container still pays the unpause cost before it can
+        # serve; it lands inside the restoration span
+        self._after(self.params.continuation_ms, "activation_elapsed")
 
     def _activate(self) -> None:
         self.enter_phase(Phase.FINALIZATION)
@@ -482,20 +483,14 @@ class MigrationManager:
 
     def _transfer(self) -> None:
         self.enter_phase(Phase.TRANSFER)
-        self.state = State.TRANSFER
         dur = transfer_duration(self.params.link, self.checkpoint.size_bytes,
                                 self.rng)
         self._after(dur, "transfer_elapsed")
 
-    def _transferred(self) -> None:
-        # a StopAndCopy source is stopped and its checkpoint has arrived:
-        # its part is over
-        self.state = (State.RESTORE if self.params.technique is Technique.MS2M
-                      else State.HANDOFF)
+    def _request_restore(self) -> None:
         self._send(self.q_tgt, "restore_request")
 
     def _begin_replay(self) -> None:
-        self.state = State.REPLAY
         self._replay_started_at = self.clock.now
         sec = self.broker.queue(self.secondary_queue)
         self._prev_counts = (sec.published_total,
@@ -509,74 +504,89 @@ class MigrationManager:
         self._monitor_event = None
         self._on_event("check_due")
 
-    def _periodic_check(self) -> None:
+    def _periodic_check(self) -> State:
         sec = self.broker.queue(self.secondary_queue)
         pub, rep = sec.published_total, self.target_instance.replayed_count
         dt = self.params.policy.check_interval_ms
         arrival = (pub - self._prev_counts[0]) / dt * 1000.0
         processing = (rep - self._prev_counts[1]) / dt * 1000.0
         self._prev_counts = (pub, rep)
-        if arrival > processing:
-            self._streak += 1
-        else:
-            self._streak = 0
-        if self._decide() is Decision.CONTINUE:
+        self._streak = self._streak + 1 if arrival > processing else 0
+        picked = self._decide()
+        if picked is State.REPLAY:
             self._monitor_event = self.clock.schedule(dt, self._check_due)
+        return picked
 
-    def _decide(self) -> Decision:
+    def _decide(self) -> State:
         backlog = len(self.broker.queue(self.secondary_queue))
         elapsed = self.clock.now - self._replay_started_at
         policy = self.params.policy
         decision = decide_handoff(backlog, elapsed, policy, self._streak)
         if decision is Decision.HANDOFF:
-            self.state = State.FREEZE
             self._send(self.q_tgt, "freeze")
-        elif decision is Decision.ABORT:
+            return State.FREEZE
+        if decision is Decision.ABORT:
             timeout = policy.replay_timeout_ms
             self.record.abort_reason = (
                 "timeout" if timeout is not None and elapsed > timeout
                 else "overload")
-            self.state = State.ABORT
             self._send(self.q_tgt, "discard")
-        return decision
+            return State.ABORT
+        return State.REPLAY
 
     def _request_source_stop(self) -> None:
-        self.state = State.STOP
         self._send(self.q_src, "stop_request")
 
     def _announce_watermark(self) -> None:
         # the source is stopped, so its last processed id no longer moves
         self.record.watermark = self.source.state.last_processed_id
-        self.state = State.HANDOFF
 
-    # -- the transition table -------------------------------------------------
+    # -- the protocol graphs --------------------------------------------------
+    # (state, event) -> (step, next): next is the state the row leads to, or
+    # for the replay monitor a choice, the declared states its step may return
 
-    _TRANSITIONS = {
-        (State.CHECKPOINT, "pause_request"): _pause_source,
-        (State.CHECKPOINT, "pause_elapsed"): _checkpoint_source,
-        (State.CHECKPOINT, "checkpoint_elapsed"): _checkpoint_taken,
-        (State.CHECKPOINT, "continuation_elapsed"): _resume_source,
-        (State.CHECKPOINT, "phase1_done"): _transfer,
-        (State.TRANSFER, "transfer_elapsed"): _transferred,
-        (State.RESTORE, "restore_request"): _restore,
-        (State.RESTORE, "restore_elapsed"): _restored,
-        (State.RESTORE, "restored"): _begin_replay,
-        (State.REPLAY, "replay_idle"): _decide,
-        (State.REPLAY, "check_due"): _periodic_check,
-        (State.FREEZE, "freeze"): _freeze_target,
-        (State.FREEZE, "frozen"): _request_source_stop,
-        (State.STOP, "stop_request"): _stop_source,
-        (State.STOP, "source_stopped"): _announce_watermark,
-        (State.HANDOFF, "watermark"): _finish_replay,
-        (State.HANDOFF, "restore_request"): _restore,
-        (State.HANDOFF, "restore_elapsed"): _restored,
-        (State.HANDOFF, "activation_elapsed"): _activate,
-        (State.HANDOFF, "switched"): lambda m: m._finish(Outcome.COMPLETED),
-        (State.ABORT, "discard"): _discard_target,
+    _MONITOR = (State.REPLAY, State.FREEZE, State.ABORT)
+    _COMMON = {
+        (State.CHECKPOINT, "pause_request"): (_pause_source, State.CHECKPOINT),
+        (State.CHECKPOINT, "pause_elapsed"):
+            (_checkpoint_source, State.CHECKPOINT),
+        (State.CHECKPOINT, "phase1_done"): (_transfer, State.TRANSFER),
+        (State.HANDOFF, "switched"):
+            (lambda m: m._finish(Outcome.COMPLETED), State.DONE),
+    }
+    _MS2M = _COMMON | {
+        (State.CHECKPOINT, "checkpoint_elapsed"):
+            (_mirror_and_continue, State.CHECKPOINT),
+        (State.CHECKPOINT, "continuation_elapsed"):
+            (_resume_source, State.CHECKPOINT),
+        (State.TRANSFER, "transfer_elapsed"): (_request_restore, State.RESTORE),
+        (State.RESTORE, "restore_request"): (_restore, State.RESTORE),
+        (State.RESTORE, "restore_elapsed"):
+            (_restore_and_replay, State.RESTORE),
+        (State.RESTORE, "restored"): (_begin_replay, State.REPLAY),
+        (State.REPLAY, "replay_idle"): (_decide, _MONITOR),
+        (State.REPLAY, "check_due"): (_periodic_check, _MONITOR),
+        (State.FREEZE, "freeze"): (_freeze_target, State.FREEZE),
+        (State.FREEZE, "frozen"): (_request_source_stop, State.STOP),
+        (State.STOP, "stop_request"): (_stop_source, State.STOP),
+        (State.STOP, "source_stopped"): (_announce_watermark, State.HANDOFF),
+        (State.HANDOFF, "watermark"): (_finish_replay, State.HANDOFF),
+        (State.ABORT, "discard"): (_discard_target, State.ABORT),
         # a crash abort can overtake a discard on its way to the target,
         # which still acknowledges it
-        (State.DONE, "discard"): _discard_target,
+        (State.DONE, "discard"): (_discard_target, State.DONE),
         (State.ABORT, "discarded"):
-            lambda m: m._finish(Outcome.ABORTED_DIVERGENCE),
+            (lambda m: m._finish(Outcome.ABORTED_DIVERGENCE), State.DONE),
     }
-    _EVENTS = frozenset(event for _state, event in _TRANSITIONS)
+    # the source stops at its checkpoint and its part is over once the
+    # checkpoint has arrived, so the target is restored and activated in
+    # HANDOFF, where a source crash no longer aborts
+    _STOP_AND_COPY = _COMMON | {
+        (State.CHECKPOINT, "checkpoint_elapsed"):
+            (_stop_at_checkpoint, State.CHECKPOINT),
+        (State.TRANSFER, "transfer_elapsed"): (_request_restore, State.HANDOFF),
+        (State.HANDOFF, "restore_request"): (_restore, State.HANDOFF),
+        (State.HANDOFF, "restore_elapsed"):
+            (_restore_and_unpause, State.HANDOFF),
+        (State.HANDOFF, "activation_elapsed"): (_activate, State.HANDOFF),
+    }

@@ -5,12 +5,14 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from migsim import service
 from migsim.harness import row_from_record
-from migsim.migration import (OUTPUT_QUEUE, Decision, HandoffPolicy,
+from migsim.migration import (MAIN_QUEUE, OUTPUT_QUEUE, Decision,
+                              HandoffPolicy, MigrationManager,
                               MigrationRecord, Outcome, Phase, PhaseSpan,
-                              Technique, decide_handoff)
+                              State, Technique, decide_handoff)
 from migsim.service import (Mode, ProtocolError, ServiceInstance,
                             ServiceState, UnknownCommand)
 from migsim.sim import FaultSpec, SimParams, Simulation
@@ -692,3 +694,179 @@ def test_identical_inputs_identical_runs(technique):
     tb = [(s.name, s.start_ms, s.end_ms) for s in b.record.phase_timeline]
     assert ta == tb
     assert a.mode_log == b.mode_log
+
+
+# -- the protocol graphs ----------------------------------------------------------
+
+GRAPHS = {Technique.MS2M: MigrationManager._MS2M,
+          Technique.STOP_AND_COPY: MigrationManager._STOP_AND_COPY}
+OVERLOAD = dict(workload=replay_stress_spec(1.5, 100), processing=10.0,
+                latency=20.0)
+
+
+def _nexts(row) -> tuple:
+    """The states a (step, next) row may lead to."""
+    _step, nxt = row
+    return nxt if type(nxt) is tuple else (nxt,)
+
+
+def _events(graph) -> set[str]:
+    return {event for _state, event in graph}
+
+
+def _traced_run(params):
+    """Run a cell with a spy on MigrationManager._on_event and crash_source.
+    Returns the result and the trace: (state before, event, state after) for
+    every dispatch, with the event "crash" for each crash_source call."""
+    trace = []
+    real_on_event = MigrationManager._on_event
+    real_crash = MigrationManager.crash_source
+
+    def on_event(self, event):
+        before = self.state
+        real_on_event(self, event)
+        trace.append((before, event, self.state))
+
+    def crash_source(self):
+        before = self.state
+        real_crash(self)
+        trace.append((before, "crash", self.state))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MigrationManager, "_on_event", on_event)
+        mp.setattr(MigrationManager, "crash_source", crash_source)
+        res = _run(params)
+    return res, trace
+
+
+def _assert_walk(trace, graph) -> None:
+    """The trace is a walk of the graph from CHECKPOINT that ends in DONE: a
+    declared row lands in one of its next states, a known event with no row
+    is dropped, and a crash before HANDOFF ends the migration."""
+    state = State.CHECKPOINT
+    for before, event, after in trace:
+        assert before is state
+        if event == "crash":
+            harmless = before in (State.HANDOFF, State.DONE)
+            assert after is (before if harmless else State.DONE)
+        elif (before, event) in graph:
+            assert after in _nexts(graph[before, event])
+        else:
+            assert event in _events(graph) and after is before
+        state = after
+    assert state is State.DONE
+
+
+def _crash_while_discard_in_flight():
+    """A divergence abort whose discard is overtaken by a source crash: the
+    crash lands halfway through the discard's 0.7 ms hop to the target."""
+    params = _mk(delivery_latency_ms=0.7, **OVERLOAD)
+    replay = _run(params).record.phase_ms(Phase.REPLAY)
+    # the replay span ends two hops (discard, discarded) after the decision
+    return dataclasses.replace(params, fault=FaultSpec(
+        phase=Phase.REPLAY.value, offset_ms=replay - 1.4 + 0.35))
+
+
+def test_every_declared_row_runs_and_lands_in_a_declared_state():
+    cells = [_mk(), _mk(**OVERLOAD), _crash_while_discard_in_flight(),
+             _mk(technique=Technique.STOP_AND_COPY)]
+    fired = {technique: set() for technique in GRAPHS}
+    for params in cells:
+        _res, trace = _traced_run(params)
+        graph = GRAPHS[params.technique]
+        _assert_walk(trace, graph)
+        fired[params.technique].update(
+            (before, event) for before, event, _after in trace
+            if (before, event) in graph)
+    for technique, graph in GRAPHS.items():
+        assert fired[technique] == set(graph)
+
+
+def test_a_known_event_with_no_row_is_dropped():
+    for technique, graph in GRAPHS.items():
+        sim = Simulation(_mk(technique=technique))
+        m = sim.manager
+        m.start()
+        queues = [sim.broker.queue(q) for q in
+                  (m.q_mgr, m.q_src, m.q_tgt, MAIN_QUEUE, OUTPUT_QUEUE)]
+        before = ([q.published_total for q in queues], sim.clock.pending())
+        stale = [(state, event) for state in State
+                 for event in sorted(_events(graph))
+                 if (state, event) not in graph]
+        for state, event in stale:
+            m.state = state
+            m._on_event(event)
+            assert m.state is state
+            assert ([q.published_total for q in queues],
+                    sim.clock.pending()) == before
+        assert m.record.phase_timeline == [] and m.checkpoint is None
+
+
+def test_an_unknown_event_is_refused_in_every_state():
+    for technique, graph in GRAPHS.items():
+        m = Simulation(_mk(technique=technique)).manager
+        # the other technique's own events are unknown here too
+        other = set().union(*map(_events, GRAPHS.values())) - _events(graph)
+        assert other
+        for state in State:
+            for event in ["teleport", *sorted(other)]:
+                m.state = state
+                with pytest.raises(ProtocolError, match=(
+                        f"^unknown control event {event!r}$")):
+                    m._on_event(event)
+                assert m.state is state
+
+
+@pytest.mark.parametrize("pick", [State.STOP, State.DONE, None],
+                         ids=["stop", "done", "none"])
+def test_a_choice_step_may_only_pick_a_declared_state(monkeypatch, pick):
+    graph = MigrationManager._MS2M
+    choices = [pair for pair, row in graph.items() if type(row[1]) is tuple]
+    assert choices == [(State.REPLAY, "replay_idle"),
+                       (State.REPLAY, "check_due")]
+    for pair in choices:
+        step, nxt = graph[pair]
+
+        def undeclared(m, step=step):
+            step(m)  # the real step runs, then picks outside its row
+            return pick
+
+        monkeypatch.setitem(graph, pair, (undeclared, nxt))
+    with pytest.raises(ProtocolError, match=(
+            rf"^'(replay_idle|check_due)' in State\.REPLAY picked {pick}, "
+            r"which its row does not declare$")):
+        _run(_mk())
+
+
+def _cell(technique, latency, overload):
+    return _mk(technique=technique, delivery_latency_ms=latency,
+               **(OVERLOAD if overload else {}))
+
+
+@functools.cache
+def _phase_lengths(technique, latency, overload) -> dict[str, float]:
+    """Each phase's length in the cell run without a fault."""
+    rec = _run(_cell(technique, latency, overload)).record
+    return {s.name: s.duration_ms for s in rec.phase_timeline}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(technique=st.sampled_from(list(Technique)),
+       latency=st.sampled_from([0.0, 0.7]),
+       overload=st.booleans(),
+       fault=st.none() | st.tuples(st.sampled_from(list(Phase)),
+                                   st.floats(0.0, 1.25)))
+def test_dispatch_trace_walks_the_declared_graph(technique, latency,
+                                                 overload, fault):
+    params = _cell(technique, latency, overload)
+    if fault is not None:
+        # from the phase's start to past its end in the fault-free run; a
+        # phase the technique never enters gets offset 0 and never fires
+        phase, share = fault
+        length = _phase_lengths(technique, latency, overload).get(
+            phase.value, 0.0)
+        params = dataclasses.replace(params, fault=FaultSpec(
+            phase=phase.value, offset_ms=share * length))
+    res, trace = _traced_run(params)
+    _assert_walk(trace, GRAPHS[technique])
+    assert res.record.outcome is not None

@@ -111,6 +111,18 @@ MUTANTS = [
            '                "timeout" if timeout is not None and elapsed > timeout\n'
            '                else "overload")\n',
            '                "overload")\n'),
+    Mutant("undeclared pick accepted", "src/migsim/migration.py",
+           "            if picked not in nxt:\n",
+           "            if False:\n"),
+    Mutant("stale event dispatched by its name alone",
+           "src/migsim/migration.py",
+           "        row = self._graph.get((self.state, event))\n",
+           "        row = self._graph.get((self.state, event)) or next(\n"
+           "            (r for (_s, e), r in self._graph.items() if e == event),"
+           " None)\n"),
+    Mutant("a late discard is dropped in DONE", "src/migsim/migration.py",
+           "        (State.DONE, \"discard\"): (_discard_target, State.DONE),\n",
+           ""),
     # -- simulation ---------------------------------------------------------------
     Mutant("two-serving check disabled", "src/migsim/sim.py",
            "            if len(self._serving) > 1:\n",
