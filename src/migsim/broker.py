@@ -4,13 +4,16 @@ explicit acknowledgements and queue mirroring.
 Delivery is at-least-once: a message leaves the buffer only when acked, so a
 consumer that goes away mid-flight sees the same message again after it (or a
 successor) subscribes. A message is an (id, payload) pair. Each queue numbers
-its messages 1, 2, 3, ... in publish order; a mirrored message is the source
-queue's own Message object, appended to the target as well, so it keeps its
-id and costs the target one deque slot rather than a copy.
+its messages 1, 2, 3, ... in publish order; a mirrored message keeps its
+source id and shares the source's payload object rather than a copy.
 
-A queue's buffer is a FIFO deque in id order. Publishing and mirroring only
-append, a poll delivers the head, and at most one delivery is in flight, so
-the in-flight message is always the head and an ack pops it from the left.
+A queue buffers a message as its id and its payload, in two parallel FIFO
+deques in id order: ints and bytes, neither of which the cycle collector
+tracks, so a buffered message adds no object for it to scan. A Message is
+built only when one is handed out, by poll, peek, head() or messages().
+Publishing and mirroring only append, a poll delivers the head, and at most
+one delivery is in flight, so the in-flight message is always the head and
+an ack pops it from the left of both deques.
 
 A consumer is woken, after delivery_latency_ms, when it subscribes to a
 queue that holds messages and when a publish reaches its queue while it is
@@ -58,8 +61,9 @@ class BadAck(BrokerError):
 
 class Message(NamedTuple):
     """An immutable message: its id on the queue it was published to, and
-    its payload. A tuple, so it is cheap to build; a mirrored message is
-    the same object on both queues."""
+    its payload. Queues do not store it: it is built from the buffered id
+    and payload when a message is handed out, and a delivered one is freed
+    once its consumer acks and lets go of it."""
 
     id: int
     payload: bytes
@@ -70,14 +74,16 @@ _new_message = tuple.__new__
 
 
 class Queue:
-    """A named FIFO buffer. Messages sit in a deque in id order; the head is
-    the next deliverable message and, while a delivery is outstanding, the
-    one in flight."""
+    """A named FIFO buffer. Each message is an id in _ids and its payload at
+    the same position in _payloads, both in id order; the head is the next
+    deliverable message and, while a delivery is outstanding, the one in
+    flight."""
 
     def __init__(self, name: str):
         self.name = name
         self.next_id = 1
-        self._messages: deque[Message] = deque()
+        self._ids: deque[int] = deque()
+        self._payloads: deque[bytes] = deque()
         self.subscriber: str | None = None
         self.mirror: tuple[str, int] | None = None
         self.inflight: int | None = None  # delivered, not yet acked
@@ -86,24 +92,28 @@ class Queue:
         self._wake_event: list | None = None  # the scheduled wake, if any
 
     def __len__(self) -> int:
-        return len(self._messages)
+        return len(self._ids)
 
     def ids(self) -> list[int]:
-        return [m.id for m in self._messages]
+        return list(self._ids)
 
     def take_payloads(self) -> list[bytes]:
         """Empty the buffer of a queue with nothing in flight and return its
         payloads in id order. published_total and next_id keep counting
         what was published."""
-        payloads = [payload for _, payload in self._messages]
-        self._messages.clear()
+        payloads = list(self._payloads)
+        self._ids.clear()
+        self._payloads.clear()
         return payloads
 
     def messages(self) -> list[Message]:
-        return list(self._messages)
+        return [_new_message(Message, m)
+                for m in zip(self._ids, self._payloads)]
 
     def head(self) -> Message | None:
-        return self._messages[0] if self._messages else None
+        if not self._ids:
+            return None
+        return _new_message(Message, (self._ids[0], self._payloads[0]))
 
     def _fire_wake(self) -> None:
         self._wake_event = None
@@ -162,12 +172,12 @@ class Broker:
         mid = q.next_id
         if type(payload) is not bytes:
             payload = bytes(payload)
-        msg = _new_message(Message, (mid, payload))
-        q._messages.append(msg)
+        q._ids.append(mid)
+        q._payloads.append(payload)
         q.next_id = mid + 1
         q.published_total += 1
         if q.mirror is not None and mid >= q.mirror[1]:
-            self._append_mirrored(self.queue(q.mirror[0]), msg)
+            self._append_mirrored(self.queue(q.mirror[0]), mid, payload)
         # _notify's rule, checked here because the queue cannot be empty: a
         # busy consumer's publishes, and the consumerless output queue's,
         # then cost no call
@@ -178,16 +188,18 @@ class Broker:
                 clock.now + self.delivery_latency_ms, q._fire_wake)
         return mid
 
-    def _append_mirrored(self, target: Queue, msg: Message) -> None:
-        # the source's own message, shared: it keeps the source id, and
-        # ids must still only grow
-        if target._messages and msg.id <= target._messages[-1].id:
+    def _append_mirrored(self, target: Queue, mid: int,
+                         payload: bytes) -> None:
+        # the source's id and its own payload object, shared: ids must
+        # still only grow
+        if target._ids and mid <= target._ids[-1]:
             raise BrokerError(
                 f"mirror append would break id order on {target.name!r}")
-        target._messages.append(msg)
+        target._ids.append(mid)
+        target._payloads.append(payload)
         target.published_total += 1
-        if msg.id >= target.next_id:
-            target.next_id = msg.id + 1
+        if mid >= target.next_id:
+            target.next_id = mid + 1
         self._notify(target)
 
     def start_mirror(self, name: str, target_name: str, start_id: int) -> None:
@@ -208,14 +220,15 @@ class Broker:
         if start_id < 1:
             raise BrokerError("start_id must be >= 1")
         # the backfill's ids only grow, so if its first message fits, all do
-        backfill = [msg for msg in q._messages if msg.id >= start_id]
-        if (backfill and target._messages
-                and backfill[0].id <= target._messages[-1].id):
+        backfill = [(mid, payload) for mid, payload
+                    in zip(q._ids, q._payloads) if mid >= start_id]
+        if (backfill and target._ids
+                and backfill[0][0] <= target._ids[-1]):
             raise BrokerError(
                 f"mirror append would break id order on {target_name!r}")
         q.mirror = (target_name, start_id)
-        for msg in backfill:
-            self._append_mirrored(target, msg)
+        for mid, payload in backfill:
+            self._append_mirrored(target, mid, payload)
 
     def stop_mirror(self, name: str) -> None:
         q = self.queue(name)
@@ -265,7 +278,7 @@ class Broker:
 
     def _notify(self, q: Queue) -> None:
         if (q._wake is None or q._wake_event is not None
-                or q.inflight is not None or not q._messages):
+                or q.inflight is not None or not q._ids):
             return
         clock = self.clock
         q._wake_event = clock.schedule_at(
@@ -291,11 +304,10 @@ class Broker:
             q = self.queue(name)
         if q.subscriber != consumer:
             raise NotSubscribed(f"{consumer!r} is not the consumer of {name!r}")
-        if q.inflight is not None or not q._messages:
+        if q.inflight is not None or not q._ids:
             return None
-        msg = q._messages[0]
-        q.inflight = msg.id
-        return msg
+        mid = q.inflight = q._ids[0]
+        return _new_message(Message, (mid, q._payloads[0]))
 
     def ack(self, name: str, consumer: str, message_id: int) -> int:
         """Confirm the in-flight delivery; the message leaves the buffer.
@@ -310,6 +322,7 @@ class Broker:
         if q.inflight != message_id or message_id is None:
             raise BadAck(f"message {message_id} is not in flight on {name!r}")
         # the in-flight message is the head: ids only grow at the tail
-        q._messages.popleft()
+        q._ids.popleft()
+        q._payloads.popleft()
         q.inflight = None
-        return len(q._messages)
+        return len(q._ids)

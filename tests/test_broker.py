@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
@@ -69,7 +71,8 @@ def test_poll_ack_cycle(broker):
     # ack reports what is left, so the consumer knows whether to poll
     assert broker.ack("q", "c", 1) == 1
     assert broker.queue("q").ids() == [2]
-    assert broker.poll("q", "c").id == 2
+    # the acked message's payload left with its id
+    assert broker.poll("q", "c") == (2, b"two")
     assert broker.ack("q", "c", 2) == 0
 
 
@@ -231,19 +234,43 @@ def test_mirrored_copy_keeps_source_id_and_payload(broker):
     assert copies[0].payload == b"payload"
 
 
-def test_mirrored_message_is_the_source_object(broker):
-    """A mirror shares the source's Message objects, backfilled or live,
-    rather than building a copy of each."""
+def test_mirrored_payload_is_the_source_payload(broker):
+    """A mirror shares the source's payload objects, backfilled or live,
+    rather than copying each."""
     broker.create_queue("main")
     broker.create_queue("sec")
+    backfilled, live = b"backfilled", b"live"
     broker.publish("main", b"old")
-    broker.publish("main", b"backfilled")
+    broker.publish("main", backfilled)
     broker.start_mirror("main", "sec", 2)
-    broker.publish("main", b"live")
-    main, sec = broker.queue("main").messages(), broker.queue("sec").messages()
+    broker.publish("main", live)
+    sec = broker.queue("sec").messages()
     assert [m.id for m in sec] == [2, 3]
-    assert sec[0] is main[1]
-    assert sec[1] is main[2]
+    assert sec[0].payload is backfilled
+    assert sec[1].payload is live
+
+
+def test_buffered_messages_add_no_tracked_objects(broker):
+    """A queue buffers a message as an int and a bytes object, neither of
+    which the cycle collector tracks, so publishing, mirrored or not,
+    leaves it nothing new to scan."""
+    broker.create_queue("out")
+    broker.create_queue("main")
+    broker.create_queue("sec")
+    broker.start_mirror("main", "sec", 1)
+    payloads = [b"m%d" % i for i in range(1000)]
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for payload in payloads:
+            broker.publish("out", payload)
+            broker.publish("main", payload)
+        after = len(gc.get_objects())
+    finally:
+        gc.enable()
+    assert len(broker.queue("out")) == len(broker.queue("sec")) == 1000
+    assert after - before == 0
 
 
 def test_mirror_ignores_ids_below_start(broker):
@@ -363,8 +390,8 @@ QUEUES = ("main", "sec")
 class BrokerMachine(RuleBasedStateMachine):
     """Publish, poll, ack, unsubscribe/resubscribe and start/stop mirror
     against a model that keeps each queue as a list of ids. Publishes go to
-    main; sec only ever receives mirrored messages, which are main's own
-    objects. Message n's payload is b"m<n>"."""
+    main; sec only ever receives mirrored messages, which share main's
+    payload objects. Message n's payload is b"m<n>"."""
 
     def __init__(self):
         super().__init__()
@@ -374,7 +401,7 @@ class BrokerMachine(RuleBasedStateMachine):
         self.inflight = {q: None for q in QUEUES}
         self.mirror_start = None
         self.published = 0
-        self.sent = {}  # id -> the Message main buffered for it
+        self.sent = {}  # id -> the payload object published with it
         self.subscriptions = 0
         for q in QUEUES:
             self.broker.create_queue(q)
@@ -385,9 +412,9 @@ class BrokerMachine(RuleBasedStateMachine):
     @rule()
     def publish(self):
         self.published += 1
-        assert self.broker.publish("main", b"m%d" % self.published) \
-            == self.published
-        self.sent[self.published] = self.broker.queue("main").messages()[-1]
+        payload = b"m%d" % self.published
+        assert self.broker.publish("main", payload) == self.published
+        self.sent[self.published] = payload
         self.model["main"].append(self.published)
         if self.mirror_start is not None \
                 and self.published >= self.mirror_start:
@@ -422,10 +449,11 @@ class BrokerMachine(RuleBasedStateMachine):
         if self.inflight[q] is not None or not self.model[q]:
             assert msg is None
             return
-        # the polled message is the head, and on sec it is main's own object
+        # the polled message is the head, and its payload is the object
+        # that was published, on sec too
         assert msg.id == self.model[q][0]
         assert msg.payload == b"m%d" % msg.id
-        assert msg is self.sent[msg.id]
+        assert msg.payload is self.sent[msg.id]
         self.inflight[q] = msg.id
 
     @rule(q=st.sampled_from(QUEUES))
@@ -494,10 +522,14 @@ class BrokerMachine(RuleBasedStateMachine):
             ids = queue.ids()
             assert ids == self.model[q]
             assert all(a < b for a, b in zip(ids, ids[1:]))
+            # every view of the buffer agrees, and each id still has the
+            # payload object published with it
+            messages = queue.messages()
             assert len(queue) == len(ids)
+            assert [m.id for m in messages] == ids
+            assert all(m.payload is self.sent[m.id] for m in messages)
             head = queue.head()
-            assert (head.id if head is not None else None) == (
-                ids[0] if ids else None)
+            assert head == (messages[0] if messages else None)
             assert queue.inflight == self.inflight[q]
 
 

@@ -4,7 +4,8 @@ Each mutant is a (name, file, old text, new text) entry. For each one, the
 repository is copied into a temporary directory, the old text is replaced
 by the new text in that copy, and tier-1 runs there with -x. A mutant that
 fails a test is KILLED, printed with the first failing test; one that
-passes every test SURVIVED. The last line gives the kill count.
+passes every test SURVIVED. The last line gives the kill count. A run
+stopped with SIGTERM still removes the copy it was testing.
 
     python3 tools/mutants.py
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -42,12 +44,12 @@ class Mutant(NamedTuple):
 MUTANTS = [
     # -- broker ---------------------------------------------------------------
     Mutant("mirror copies instead of sharing", "src/migsim/broker.py",
-           "        target._messages.append(msg)\n",
-           "        target._messages.append(Message(*msg))\n"),
+           "        target._payloads.append(payload)\n",
+           "        target._payloads.append(bytes(bytearray(payload)))\n"),
     Mutant("mirror set before the order check", "src/migsim/broker.py",
-           "        backfill = [msg for msg in q._messages if msg.id >= start_id]\n",
+           "        backfill = [(mid, payload) for mid, payload\n",
            "        q.mirror = (target_name, start_id)\n"
-           "        backfill = [msg for msg in q._messages if msg.id >= start_id]\n"),
+           "        backfill = [(mid, payload) for mid, payload\n"),
     Mutant("unsubscribe keeps its wake", "src/migsim/broker.py",
            "        if q._wake_event is not None:\n"
            "            self.clock.cancel(q._wake_event)\n",
@@ -60,6 +62,9 @@ MUTANTS = [
     Mutant("ack ignores the id", "src/migsim/broker.py",
            "        if q.inflight != message_id or message_id is None:\n",
            "        if q.inflight is None:\n"),
+    Mutant("ack pops the id but not the payload", "src/migsim/broker.py",
+           "        q._payloads.popleft()\n",
+           ""),
     # -- clock ------------------------------------------------------------------
     Mutant("feed without seq -1", "src/migsim/simnet.py",
            "            seq, self._seq = self._seq, -1\n",
@@ -169,13 +174,22 @@ def run(mutant: Mutant) -> tuple[bool, str]:
     return True, first_failure(proc.stdout + proc.stderr)
 
 
+def _stop(signum, frame):
+    # raised inside run's with block, which then removes the copy
+    raise SystemExit(128 + signum)
+
+
 def main() -> int:
     killed = 0
-    for mutant in MUTANTS:
-        dead, where = run(mutant)
-        killed += dead
-        print(f"{'KILLED' if dead else 'SURVIVED':8}  {mutant.name}"
-              + (f"  ({where})" if dead else ""), flush=True)
+    previous = signal.signal(signal.SIGTERM, _stop)
+    try:
+        for mutant in MUTANTS:
+            dead, where = run(mutant)
+            killed += dead
+            print(f"{'KILLED' if dead else 'SURVIVED':8}  {mutant.name}"
+                  + (f"  ({where})" if dead else ""), flush=True)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     print(f"killed {killed} of {len(MUTANTS)}")
     return 0 if killed == len(MUTANTS) else 1
 
