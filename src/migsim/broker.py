@@ -219,16 +219,12 @@ class Broker:
             raise BrokerError("queue cannot mirror onto itself")
         if start_id < 1:
             raise BrokerError("start_id must be >= 1")
-        # the backfill's ids only grow, so if its first message fits, all do
-        backfill = [(mid, payload) for mid, payload
-                    in zip(q._ids, q._payloads) if mid >= start_id]
-        if (backfill and target._ids
-                and backfill[0][0] <= target._ids[-1]):
-            raise BrokerError(
-                f"mirror append would break id order on {target_name!r}")
+        # the backfill's ids only grow, so if its first append keeps the
+        # target's order, all do, and a refused one has changed nothing
+        for mid, payload in zip(q._ids, q._payloads):
+            if mid >= start_id:
+                self._append_mirrored(target, mid, payload)
         q.mirror = (target_name, start_id)
-        for mid, payload in backfill:
-            self._append_mirrored(target, mid, payload)
 
     def stop_mirror(self, name: str) -> None:
         q = self.queue(name)

@@ -130,9 +130,13 @@ class MigrationRecord:
 
 
 class Decision(enum.Enum):
+    """What the replay monitor does next. The two ways to give up carry the
+    record's abort_reason as their value."""
+
     HANDOFF = "Handoff"
     CONTINUE = "Continue"
-    ABORT = "Abort"
+    TIMEOUT = "timeout"
+    OVERLOAD = "overload"
 
 
 @dataclass(frozen=True)
@@ -161,16 +165,17 @@ def decide_handoff(backlog: int, elapsed_replay_ms: float,
 
     overload_streak is the caller-maintained count of consecutive checks,
     including the current one, whose arrival rate estimate exceeded the
-    processing rate estimate. Precedence: a drained backlog always wins,
-    then the replay timeout, then sustained divergence.
+    processing rate estimate. Precedence: a drained backlog always wins
+    (HANDOFF), then the replay timeout (TIMEOUT), then sustained divergence
+    (OVERLOAD); otherwise CONTINUE.
     """
     if backlog <= policy.handoff_threshold:
         return Decision.HANDOFF
     if (policy.replay_timeout_ms is not None
             and elapsed_replay_ms > policy.replay_timeout_ms):
-        return Decision.ABORT
+        return Decision.TIMEOUT
     if overload_streak >= policy.divergence_window:
-        return Decision.ABORT
+        return Decision.OVERLOAD
     return Decision.CONTINUE
 
 
@@ -282,7 +287,8 @@ class MigrationManager:
             migration_id=MIGRATION_ID,
             initiated_at=self.clock.now,
         )
-        if self.source.crashed or self.source.mode is not Mode.SERVING:
+        # a crash stops the source, so a crashed one is not serving either
+        if self.source.mode is not Mode.SERVING:
             self._finish(Outcome.ABORTED_SOURCE_CRASH)
             return
         for queue, owner in ((self.q_mgr, "mgr"), (self.q_src, "agent.src"),
@@ -520,19 +526,16 @@ class MigrationManager:
     def _decide(self) -> State:
         backlog = len(self.broker.queue(self.secondary_queue))
         elapsed = self.clock.now - self._replay_started_at
-        policy = self.params.policy
-        decision = decide_handoff(backlog, elapsed, policy, self._streak)
+        decision = decide_handoff(backlog, elapsed, self.params.policy,
+                                  self._streak)
         if decision is Decision.HANDOFF:
             self._send(self.q_tgt, "freeze")
             return State.FREEZE
-        if decision is Decision.ABORT:
-            timeout = policy.replay_timeout_ms
-            self.record.abort_reason = (
-                "timeout" if timeout is not None and elapsed > timeout
-                else "overload")
-            self._send(self.q_tgt, "discard")
-            return State.ABORT
-        return State.REPLAY
+        if decision is Decision.CONTINUE:
+            return State.REPLAY
+        self.record.abort_reason = decision.value
+        self._send(self.q_tgt, "discard")
+        return State.ABORT
 
     def _request_source_stop(self) -> None:
         self._send(self.q_src, "stop_request")

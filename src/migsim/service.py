@@ -197,8 +197,11 @@ class Checkpoint:
     """A frozen copy of a paused instance's state."""
 
     snapshot: bytes
-    size_bytes: int
     checkpoint_last_id: int
+
+    @property
+    def size_bytes(self) -> int:
+        return len(self.snapshot)
 
 
 def handle(state: ServiceState, msg: Message) -> tuple[ServiceState, list[bytes]]:
@@ -281,9 +284,12 @@ class ServiceInstance:
     since a poll could only find the queue empty. A publish wakes it again.
 
     Hooks (all optional): on_mode_change(instance, old, new) after every mode
-    change, on_idle() when a drained queue leaves nothing to poll. The
-    callbacks of freeze_replay, finish_replay and request_stop, like on_idle,
-    take no argument.
+    change, and on_idle() in two places only: when attaching to a queue
+    finds it empty, and when a completion's ack leaves nothing buffered and
+    neither a deferred step nor a handoff takes over. A wake whose poll
+    finds nothing stays silent: the instance reported idle when it drained.
+    The callbacks of freeze_replay, finish_replay and request_stop, like
+    on_idle, take no argument.
     """
 
     def __init__(self, instance_id: str, state: ServiceState,
@@ -308,7 +314,6 @@ class ServiceInstance:
         self._pending = None            # the in-flight message's completion
         self._msg: Message | None = None  # the message polled last
         self._then = None               # step deferred until that completion
-        self._idle = True
         self._frozen = False
         self._handoff = None            # (watermark, main_queue, on_switched)
 
@@ -340,10 +345,11 @@ class ServiceInstance:
         self.broker.subscribe(queue, self.instance_id, on_wake=self._try_next)
         self._queue = queue
         self._set_mode(mode)
-        self._idle = False
         if on_attached is not None:
             on_attached()
         self._try_next()
+        if self._pending is None and self.on_idle is not None:
+            self.on_idle()  # the first poll found the queue empty
 
     def _leave(self, mode: Mode) -> None:
         """Detach from the queue. An in-flight message is dropped unapplied,
@@ -387,12 +393,8 @@ class ServiceInstance:
         """Freeze the paused state into a transferable snapshot. The caller
         models the time this takes; the content is the state as paused."""
         self._require(Mode.PAUSED)
-        snapshot = serialize_state(self.state)
-        return Checkpoint(
-            snapshot=snapshot,
-            size_bytes=len(snapshot),
-            checkpoint_last_id=self.state.last_processed_id,
-        )
+        return Checkpoint(serialize_state(self.state),
+                          self.state.last_processed_id)
 
     @classmethod
     def restore(cls, checkpoint: Checkpoint, clock: SimClock, broker: Broker,
@@ -462,16 +464,16 @@ class ServiceInstance:
     # -- consumption ---------------------------------------------------------
 
     def _try_next(self) -> None:
-        # detached (Paused, Stopped), busy, or a frozen replay: nothing to do
-        if self._pending is not None or self._queue is None or self._frozen:
+        # busy, or a frozen replay: nothing to do
+        if self._pending is not None or self._frozen:
             return
         if self._handoff is not None and self._switched_at_watermark():
             return
         msg = self.broker.poll(self._queue, self.instance_id)
         if msg is None:
-            self._mark_idle()
+            # a wake for what the instance already took: it reported idle
+            # when it attached to an empty queue or last drained
             return
-        self._idle = False
         self._msg = msg
         clock = self.clock
         self._pending = clock.schedule_at(
@@ -533,7 +535,6 @@ class ServiceInstance:
         else:
             # the poll _try_next would make finds the queue empty, and the
             # instance has been busy since its last poll: it goes idle
-            self._idle = True
             if self.on_idle is not None:
                 self.on_idle()
 
@@ -543,9 +544,3 @@ class ServiceInstance:
         stay readable."""
         self.on_mode_change = self.on_idle = None
         self._then = self._handoff = None
-
-    def _mark_idle(self) -> None:
-        if not self._idle:
-            self._idle = True
-            if self.on_idle is not None:
-                self.on_idle()

@@ -101,8 +101,8 @@ class SimParams:
 
     def __post_init__(self):
         check(self)
-        # the manager compares techniques by identity, so a bare name would
-        # run a mix of both protocols and never finish the record
+        # the manager picks its protocol graph by identity, so a bare
+        # "MS2M" would run StopAndCopy's graph under an MS2M label
         if not isinstance(self.technique, (Technique, type(None))):
             raise ValueError("SimParams.technique: must be a Technique or "
                              f"None, got {self.technique!r}")
@@ -213,10 +213,9 @@ class Simulation:
 
         record = self.manager.record if self.manager is not None else None
         target = self.manager.target_instance if self.manager else None
-        candidates = [self.source] + ([target] if target is not None else [])
-        # _on_mode_change refused a second serving instance during the run
-        serving = [i for i in candidates if i.mode is Mode.SERVING]
-        final_state = serialize_state(serving[0].state) if serving else None
+        # _on_mode_change keeps the serving instance, and refused a second
+        final_state = (serialize_state(next(iter(self._serving)).state)
+                       if self._serving else None)
 
         main = self.broker.queue(MAIN_QUEUE)
         return SimResult(

@@ -38,7 +38,7 @@ def test_handoff_threshold_is_inclusive():
 def test_timeout_aborts_strictly_after_deadline():
     policy = HandoffPolicy(replay_timeout_ms=60_000.0)
     assert decide_handoff(10, 60_000.0, policy) is Decision.CONTINUE
-    assert decide_handoff(10, 60_000.1, policy) is Decision.ABORT
+    assert decide_handoff(10, 60_000.1, policy) is Decision.TIMEOUT
 
 
 def test_timeout_none_disables_deadline():
@@ -51,7 +51,7 @@ def test_sustained_overload_aborts_at_window():
     assert decide_handoff(10, 0, policy, overload_streak=4) \
         is Decision.CONTINUE
     assert decide_handoff(10, 0, policy, overload_streak=5) \
-        is Decision.ABORT
+        is Decision.OVERLOAD
 
 
 def test_policy_validation():

@@ -631,6 +631,29 @@ def test_idle_hook_edge_triggered():
     assert inst.state.data == {"n": 3}
 
 
+@pytest.mark.parametrize("late_publish, expected", [
+    (False, [1.0]),       # the subscribe wake at 5.0 finds nothing: silent
+    (True, [1.0, 6.0]),   # a publish at 3.0 rides that wake, served at 5.0
+])
+def test_idle_hook_silent_on_a_wake_that_finds_nothing(late_publish, expected):
+    clock = SimClock()
+    broker = Broker(clock, 5.0)
+    broker.create_queue("in")
+    broker.create_queue("out")
+    inst = ServiceInstance("i1", ServiceState(), clock, broker, 1.0, "out")
+    idles = []
+    inst.on_idle = lambda: idles.append(clock.now)
+    broker.publish("in", b"add n 1")
+    # subscribing schedules a wake at 5.0, but the instance polls message 1
+    # at once and drains it at 1.0
+    inst.start_serving("in")
+    if late_publish:
+        clock.schedule_at(3.0, lambda: broker.publish("in", b"add n 1"))
+    clock.run_until()
+    assert idles == expected
+    assert inst.state.data == {"n": 2 if late_publish else 1}
+
+
 # Calls into migsim per served message on an idle consumer (100/s, 1 ms
 # processing) and on a busy one (150/s, 10 ms). The count is deterministic,
 # so it guards the serve path's cost without timing anything. Raise a budget

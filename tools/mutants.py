@@ -47,9 +47,9 @@ MUTANTS = [
            "        target._payloads.append(payload)\n",
            "        target._payloads.append(bytes(bytearray(payload)))\n"),
     Mutant("mirror set before the order check", "src/migsim/broker.py",
-           "        backfill = [(mid, payload) for mid, payload\n",
+           "        for mid, payload in zip(q._ids, q._payloads):\n",
            "        q.mirror = (target_name, start_id)\n"
-           "        backfill = [(mid, payload) for mid, payload\n"),
+           "        for mid, payload in zip(q._ids, q._payloads):\n"),
     Mutant("unsubscribe keeps its wake", "src/migsim/broker.py",
            "        if q._wake_event is not None:\n"
            "            self.clock.cancel(q._wake_event)\n",
@@ -81,6 +81,13 @@ MUTANTS = [
            "            # every id <= watermark",
            "        if False:\n"
            "            # every id <= watermark"),
+    Mutant("a wake that finds nothing reports idle", "src/migsim/service.py",
+           "        if msg is None:\n"
+           "            # a wake for what the instance already took",
+           "        if msg is None:\n"
+           "            if self.on_idle is not None:\n"
+           "                self.on_idle()\n"
+           "            # a wake for what the instance already took"),
     Mutant("handoff branch dropped from _complete", "src/migsim/service.py",
            "        elif self._handoff is not None:\n"
            "            self._try_next()\n",
@@ -113,9 +120,8 @@ MUTANTS = [
            "            self.target_instance.on_idle = None\n",
            "            pass\n"),
     Mutant("every abort reason read as overload", "src/migsim/migration.py",
-           '                "timeout" if timeout is not None and elapsed > timeout\n'
-           '                else "overload")\n',
-           '                "overload")\n'),
+           "        self.record.abort_reason = decision.value\n",
+           "        self.record.abort_reason = \"overload\"\n"),
     Mutant("undeclared pick accepted", "src/migsim/migration.py",
            "            if picked not in nxt:\n",
            "            if False:\n"),
