@@ -4,7 +4,8 @@ tiers.
 test_acceptance_6 only checks that two runs agree with each other, so a change
 that moved every number the same way would still pass it. The values below
 are fixed. Besides the shipped scenarios and a fault grid, the cells pinned
-are the first ten seeds of test_acceptance_2, with its triggers.
+are the first ten seeds of test_acceptance_2, with its triggers, and two
+handoff cells that reach the handoff's deferred paths.
 
 Contract tier: SHA-256 digests of the shipped scenarios' reports and, per
 cell, of its outputs, final state, MigrationRecord fields, mode transitions
@@ -32,6 +33,7 @@ import pytest
 from migsim.config import load_scenario
 from migsim.harness import export_csv, run_experiment
 from migsim.migration import HandoffPolicy, Outcome, Technique
+from migsim.service import ServiceInstance
 from migsim.sim import FaultSpec, SimParams, Simulation
 from migsim.simnet import Host, Link
 from migsim.workload import WorkloadSpec
@@ -195,6 +197,14 @@ ACCEPTANCE2_DIGESTS = [
     "ec5db5350294bcd1ebcc35be0b852ae876a0588a9fa095871a08a46a6523cc82",
 ]
 
+# no other cell reaches these: the target is busy at freeze, the source is
+# busy at stop_request, and the target is behind the watermark when it
+# finishes the replay (test_handoff_cells_reach_the_deferred_paths)
+HANDOFF_DIGESTS = [
+    "5b34bfdc2f984761de6379a04bb6f11d0f043d233d079dd488fceb43933ee934",
+    "8ac3bc51510c431f7e3835916b868c442b0901200094776d897fcb0322b10e02",
+]
+
 EVENTS = {
     "grid": [
         769, 406, 770, 422, 422, 423, 423, 424, 424, 427,
@@ -213,6 +223,9 @@ EVENTS = {
     "acceptance2": [
         1430, 1419, 1486, 1472, 1474, 1459, 1540, 1528, 1371, 1361,
         1481, 1470, 1450, 1434, 1567, 1556, 1432, 1420, 1508, 1495,
+    ],
+    "handoff": [
+        671, 719,
     ],
 }
 
@@ -270,6 +283,16 @@ def acceptance2_cells():
                 technique=technique, trigger_ms=trigger, seed=seed)
 
 
+def handoff_cells():
+    """Yield (label, SimParams) for two MS2M cells whose handoff waits at
+    every step that can wait: seeds 0 and 8 of the grid's workload, with 0.7
+    ms delivery latency, handoff threshold 3 and 7 ms processing."""
+    for seed in (0, 8):
+        params = _params(Technique.MS2M, (0.7, "threshold3", 7.0))
+        yield f"handoff seed {seed}", dataclasses.replace(
+            params, workload=dataclasses.replace(params.workload, seed=seed))
+
+
 def _canon(x):
     if isinstance(x, enum.Enum):
         return x.value
@@ -297,7 +320,8 @@ def run_cell(params: SimParams) -> tuple[str, Outcome, int]:
             s.clock.events_processed)
 
 
-CELL_SETS = {"grid": grid, "acceptance2": acceptance2_cells}
+CELL_SETS = {"grid": grid, "acceptance2": acceptance2_cells,
+             "handoff": handoff_cells}
 
 
 @functools.cache
@@ -338,6 +362,41 @@ def test_acceptance2_cells_match_golden():
     assert mismatched == []
 
 
+def test_handoff_cells_match_golden():
+    cells = pinned("handoff")
+    assert len(cells) == len(HANDOFF_DIGESTS)
+    mismatched = [label for (label, digest, outcome, _), want
+                  in zip(cells, HANDOFF_DIGESTS)
+                  if (digest, outcome) != (want, Outcome.COMPLETED)]
+    assert mismatched == []
+
+
+def test_handoff_cells_reach_the_deferred_paths(monkeypatch):
+    """Each handoff cell freezes a busy target, asks a busy source to stop
+    and finishes a replay that is behind the watermark."""
+    seen = []
+
+    def spy(name, waits):
+        method = getattr(ServiceInstance, name)
+
+        def wrapper(self, *args):
+            seen.append((name, waits(self, *args)))
+            return method(self, *args)
+
+        monkeypatch.setattr(ServiceInstance, name, wrapper)
+
+    spy("freeze_replay", lambda inst, _on_frozen: inst.busy)
+    spy("request_stop", lambda inst, _on_stopped: inst.busy)
+    spy("finish_replay", lambda inst, watermark, *_:
+        inst.state.last_processed_id < watermark)
+    for label, params in handoff_cells():
+        seen.clear()
+        assert Simulation(params).run().record.outcome is Outcome.COMPLETED
+        assert sorted(seen) == [("finish_replay", True),
+                                ("freeze_replay", True),
+                                ("request_stop", True)], label
+
+
 @pytest.mark.parametrize("kind", sorted(CELL_SETS))
 def test_event_counts_match_golden(kind):
     cells = pinned(kind)
@@ -371,6 +430,9 @@ if __name__ == "__main__":
             print(f'    "{digest}",')
         print("]\n\nACCEPTANCE2_DIGESTS = [")
         for _label, digest, _, _ in pinned("acceptance2"):
+            print(f'    "{digest}",')
+        print("]\n\nHANDOFF_DIGESTS = [")
+        for _label, digest, _, _ in pinned("handoff"):
             print(f'    "{digest}",')
         print("]\n")
         _print_events()
