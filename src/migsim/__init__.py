@@ -8,10 +8,9 @@ from .harness import (ComparisonSummary, TrialRow, compare, export_csv,
 from .migration import (Decision, HandoffPolicy, MigrationManager,
                         MigrationRecord, Outcome, Phase, PhaseSpan, Technique,
                         decide_handoff)
-from .service import (Checkpoint, Mode, ProtocolError, ServiceError,
-                      ServiceInstance, ServiceState, StaleMessage,
-                      deserialize_state, handle, serialize_state,
-                      state_size_bytes)
+from .service import (Mode, ProtocolError, ServiceError, ServiceInstance,
+                      ServiceState, StaleMessage, deserialize_state, handle,
+                      serialize_state, state_size_bytes)
 from .sim import FaultSpec, SimParams, SimResult, Simulation
 from .simnet import (Host, Link, SimClock, SimError, checkpoint_duration,
                      restore_duration, transfer_duration)
@@ -28,7 +27,7 @@ __all__ = [
     "row_from_record", "run_experiment",
     "Decision", "HandoffPolicy", "MigrationManager", "MigrationRecord",
     "Outcome", "Phase", "PhaseSpan", "Technique", "decide_handoff",
-    "Checkpoint", "Mode", "ProtocolError", "ServiceError", "ServiceInstance",
+    "Mode", "ProtocolError", "ServiceError", "ServiceInstance",
     "ServiceState", "StaleMessage", "deserialize_state", "handle",
     "serialize_state", "state_size_bytes",
     "FaultSpec", "SimParams", "SimResult", "Simulation",

@@ -35,8 +35,7 @@ from typing import TYPE_CHECKING
 
 from .broker import Broker
 from .rules import check, param
-from .service import (Checkpoint, Mode, ProtocolError, ServiceInstance,
-                      state_size_bytes)
+from .service import Mode, ProtocolError, ServiceInstance, state_size_bytes
 from .simnet import (SimClock, checkpoint_duration, restore_duration,
                      transfer_duration)
 
@@ -268,7 +267,7 @@ class MigrationManager:
 
         self.record: MigrationRecord | None = None
         self.state = State.IDLE
-        self.checkpoint: Checkpoint | None = None
+        self.checkpoint: bytes | None = None  # the source's snapshot
         self.secondary_queue: str | None = None
         self.target_instance: ServiceInstance | None = None
         self._current_phase: tuple[Phase, float] | None = None
@@ -400,20 +399,20 @@ class MigrationManager:
         self._after(checkpoint_duration(self.params.source_host, size),
                     "checkpoint_elapsed")
 
-    def _take_checkpoint(self) -> Checkpoint:
-        cp = self.source.create_checkpoint()
-        self.checkpoint = cp
-        self.record.checkpoint_size_bytes = cp.size_bytes
-        return cp
+    def _take_checkpoint(self) -> None:
+        self.checkpoint = self.source.create_checkpoint()
+        self.record.checkpoint_size_bytes = len(self.checkpoint)
 
     def _mirror_and_continue(self) -> None:
-        cp = self._take_checkpoint()
+        self._take_checkpoint()
         self.secondary_queue = f"{MAIN_QUEUE}.sec.{MIGRATION_ID}"
         self.broker.create_queue(self.secondary_queue)
         # the secondary must hold every id the checkpoint does not cover,
-        # including messages buffered while the source was paused
+        # including messages buffered while the source was paused; the
+        # source stays paused until continuation_elapsed, so its last id is
+        # the checkpoint's
         self.broker.start_mirror(MAIN_QUEUE, self.secondary_queue,
-                                 cp.checkpoint_last_id + 1)
+                                 self.source.state.last_processed_id + 1)
         self.enter_phase(Phase.CONTINUATION)
         self._after(self.params.continuation_ms, "continuation_elapsed")
 
@@ -439,7 +438,7 @@ class MigrationManager:
     def _restore(self) -> None:
         self.enter_phase(Phase.RESTORATION)
         self._after(restore_duration(self.params.target_host,
-                                     self.checkpoint.size_bytes),
+                                     len(self.checkpoint)),
                     "restore_elapsed")
 
     def _restore_target(self) -> ServiceInstance:
@@ -489,7 +488,7 @@ class MigrationManager:
 
     def _transfer(self) -> None:
         self.enter_phase(Phase.TRANSFER)
-        dur = transfer_duration(self.params.link, self.checkpoint.size_bytes,
+        dur = transfer_duration(self.params.link, len(self.checkpoint),
                                 self.rng)
         self._after(dur, "transfer_elapsed")
 

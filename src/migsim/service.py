@@ -98,9 +98,8 @@ def _decode_value(raw: bytes, key: str) -> Scalar:
         raise SerializationError("empty value field")
     tag, body = raw[0], raw[1:]
     if tag == _TAG_INT:
-        if len(body) != 8:
-            raise SerializationError("int value must be exactly 8 bytes")
-        return _I64.unpack(body)[0]
+        # deserialize_state decodes every 9-byte int value itself
+        raise SerializationError("int value must be exactly 8 bytes")
     if tag == _TAG_BYTES:
         return body
     if tag == _TAG_STR:
@@ -192,22 +191,10 @@ def state_size_bytes(state: ServiceState) -> int:
     return len(serialize_state(state))
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    """A frozen copy of a paused instance's state."""
-
-    snapshot: bytes
-    checkpoint_last_id: int
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self.snapshot)
-
-
-def handle(state: ServiceState, msg: Message) -> tuple[ServiceState, list[bytes]]:
-    """Apply one input message to state in place and return (state, outputs)
-    with the same state object. Deterministic: the same state and message
-    always yield the same successor state and the same output payloads.
+def handle(state: ServiceState, msg: Message) -> bytes:
+    """Apply one input message to state in place and return its one output
+    payload. Deterministic: the same state and message always yield the same
+    successor state and the same output.
 
     Commands:
         set <key> <value-bytes>   overwrite a key (value may contain spaces)
@@ -240,7 +227,7 @@ def handle(state: ServiceState, msg: Message) -> tuple[ServiceState, list[bytes]
         if not isinstance(old, int):
             raise UnknownCommand(f"key {key!r} is not a counter")
         value = old + delta
-        outputs = [b"ok %d %s=%d" % (msg.id, raw, value)]
+        output = b"ok %d %s=%d" % (msg.id, raw, value)
     elif op == b"set":
         # the value may hold spaces, so it is everything after the key
         parts = payload.split(b" ", 2)
@@ -252,12 +239,12 @@ def handle(state: ServiceState, msg: Message) -> tuple[ServiceState, list[bytes]
         except UnicodeDecodeError:
             raise UnknownCommand(f"non-ASCII key: {raw[:40]!r}") from None
         value = parts[2]
-        outputs = [b"ok %d set %s" % (msg.id, raw)]
+        output = b"ok %d set %s" % (msg.id, raw)
     else:
         raise UnknownCommand(f"unknown op {op!r}")
     state.data[key] = value
     state.last_processed_id = msg.id
-    return state, outputs
+    return output
 
 
 class Mode(enum.Enum):
@@ -273,7 +260,7 @@ class ServiceInstance:
 
     The instance consumes its subscribed queue one message at a time: a poll
     takes processing_ms of simulated time, after which the message is applied,
-    its outputs are published (Serving) or dropped (Replaying, where only
+    its one output is published (Serving) or dropped (Replaying, where only
     replayed_count records the message), and the delivery is acked. State
     changes and output emission happen together at completion time, so a
     pause or crash before completion leaves the message fully unapplied and
@@ -389,20 +376,19 @@ class ServiceInstance:
         self._require(Mode.SERVING)
         self._leave(Mode.PAUSED)
 
-    def create_checkpoint(self) -> Checkpoint:
-        """Freeze the paused state into a transferable snapshot. The caller
-        models the time this takes; the content is the state as paused."""
+    def create_checkpoint(self) -> bytes:
+        """Freeze the paused state into a transferable snapshot: its
+        canonical serialization. The caller models the time this takes."""
         self._require(Mode.PAUSED)
-        return Checkpoint(serialize_state(self.state),
-                          self.state.last_processed_id)
+        return serialize_state(self.state)
 
     @classmethod
-    def restore(cls, checkpoint: Checkpoint, clock: SimClock, broker: Broker,
+    def restore(cls, snapshot: bytes, clock: SimClock, broker: Broker,
                 processing_ms: float, output_topic: str,
                 instance_id: str) -> "ServiceInstance":
-        """Rebuild an instance from a checkpoint. It comes up Paused with
+        """Rebuild an instance from a snapshot. It comes up Paused with
         state bit-identical to what was frozen."""
-        state = deserialize_state(checkpoint.snapshot)
+        state = deserialize_state(snapshot)
         return cls(instance_id, state, clock, broker, processing_ms,
                    output_topic)
 
@@ -451,9 +437,8 @@ class ServiceInstance:
 
     def stop(self) -> None:
         """Immediate stop (discard path). Any in-flight message is released
-        unapplied."""
-        if self._mode is not Mode.STOPPED:
-            self._leave(Mode.STOPPED)
+        unapplied; a stopped instance stays as it is."""
+        self._leave(Mode.STOPPED)
 
     def crash(self) -> None:
         """Fail the instance. Unacked deliveries become redeliverable; state
@@ -480,19 +465,18 @@ class ServiceInstance:
             clock.now + self.processing_ms, self._complete)
 
     def _switched_at_watermark(self) -> bool:
-        """Switch to the main queue once the replay has applied the watermark
-        or the next replay message lies past it. False: keep replaying."""
+        """Switch to the main queue once the replay has applied the
+        watermark. False: keep replaying."""
         watermark, main_queue, on_switched = self._handoff
-        nxt = self.broker.peek(self._queue, self.instance_id)
-        if (self.state.last_processed_id >= watermark
-                or (nxt is not None and nxt.id > watermark)):
+        if self.state.last_processed_id >= watermark:
             self._handoff = None
             self.broker.unsubscribe(self._queue, self.instance_id)
             self._attach(main_queue, Mode.SERVING, on_switched)
             return True
-        if nxt is None:
+        nxt = self.broker.peek(self._queue, self.instance_id)
+        if nxt is None or nxt.id > watermark:
             # every id <= watermark was mirrored before the watermark was
-            # announced, so an empty queue here is a protocol bug
+            # announced, so a queue that cannot reach it is a protocol bug
             raise ProtocolError(
                 f"{self.instance_id}: replay starved below watermark "
                 f"{watermark}")
@@ -502,7 +486,7 @@ class ServiceInstance:
         msg = self._msg
         self._pending = None
         try:
-            new_state, outputs = handle(self.state, msg)
+            output = handle(self.state, msg)
         except StaleMessage:
             # duplicate delivery: drop without state change or output
             self.rejected_count += 1
@@ -511,11 +495,9 @@ class ServiceInstance:
                 f"{self.instance_id} at t={self.clock.now} ms: message "
                 f"{msg.id} on queue {self._queue!r}: {exc}") from exc
         else:
-            self.state = new_state
             self.applied_count += 1
             if self._mode is Mode.SERVING:
-                for out in outputs:
-                    self.broker.publish(self.output_topic, out)
+                self.broker.publish(self.output_topic, output)
             else:
                 self.replayed_count += 1
         left = self.broker.ack(self._queue, self.instance_id, msg.id)

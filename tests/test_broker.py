@@ -223,6 +223,18 @@ def test_mirror_backfills_buffered_messages(broker):
     assert broker.queue("sec").ids() == [3, 4, 5, 6]
 
 
+def test_publish_after_a_mirror_backfill_takes_the_next_id(broker):
+    # the target's ids must keep growing after the mirrored ones
+    broker.create_queue("main")
+    broker.create_queue("sec")
+    for i in range(5):
+        broker.publish("main", b"m%d" % (i + 1))
+    broker.start_mirror("main", "sec", 3)
+    assert broker.queue("sec").ids() == [3, 4, 5]
+    assert broker.publish("sec", b"direct") == 6
+    assert broker.queue("sec").ids() == [3, 4, 5, 6]
+
+
 def test_mirrored_copy_keeps_source_id_and_payload(broker):
     broker.create_queue("main")
     broker.create_queue("sec")

@@ -154,6 +154,16 @@ def test_compare_single_technique_has_no_deltas():
     assert "vs" not in cmp.format_text()
 
 
+def test_compare_summarizes_a_technique_with_no_completed_trial():
+    # stress_overload.json aborts every MS2M cell; its means are taken over
+    # the aborted trials rather than over none
+    cmp = compare([_row("MS2M", outcome="AbortedDivergence", total_ms=30.0),
+                   _row("MS2M", outcome="AbortedDivergence", total_ms=50.0)])
+    ms2m = cmp.techniques["MS2M"]
+    assert ms2m.outcomes == {"AbortedDivergence": 2}
+    assert ms2m.mean_total_ms == 40.0
+
+
 # -- scenario parsing ------------------------------------------------------------
 
 
@@ -256,6 +266,26 @@ def test_parse_validates_topology():
         with pytest.raises(ConfigError) as err:
             parse_scenario(_doc(links=links))
         assert err.value.errors == ["links: must be a non-empty list"]
+
+
+def test_parse_refuses_repeats_and_entries_that_are_not_objects():
+    doc = _doc(techniques=["MS2M", "StopAndCopy", "MS2M"])
+    doc["hosts"].append({"id": "a"})
+    doc["links"].append(["a", "b"])
+    doc["overrides"] = {"MS2M": [1]}
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(doc)
+    assert sorted(err.value.errors) == [
+        "hosts[2].id: duplicate host 'a'",
+        "links[1]: must be an object",
+        "overrides.MS2M: must be an object",
+        "techniques: 'MS2M' listed twice",
+    ]
+    for top in ([], "scenario", None):
+        with pytest.raises(ConfigError) as err:
+            parse_scenario(top)
+        assert err.value.errors == [
+            "scenario: top level must be a JSON object"]
 
 
 def test_parse_validates_link_numbers():

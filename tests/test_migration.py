@@ -316,6 +316,31 @@ def test_completed_live_migration_shape():
     assert res.target.mode is Mode.SERVING
 
 
+def test_a_second_start_is_refused():
+    sim = Simulation(_mk())
+    sim.run()
+    with pytest.raises(ProtocolError, match="^migration already started$"):
+        sim.manager.start()
+    assert sim.manager.record.outcome is Outcome.COMPLETED
+
+
+def test_drain_waits_for_a_message_published_after_the_switch():
+    # the target switches at 24.0 and the manager completes at 25.0; the
+    # arrival at 24.5 is delivered at 25.5 and applied at 26.5
+    def drain_ms(extra):
+        stream = [(float(t), b"add n 1") for t in range(10)] + extra
+        rec = _run(SimParams(
+            source_host=Host("a"), target_host=Host("b"),
+            link=Link("a", "b", latency_ms=5.0), stream=stream,
+            processing_ms=1.0, technique=Technique.MS2M, trigger_ms=10.0,
+            delivery_latency_ms=1.0)).record
+        assert (rec.outcome, rec.completed_at) == (Outcome.COMPLETED, 25.0)
+        return rec.drain_ms
+
+    assert drain_ms([]) == 0.0
+    assert drain_ms([(24.5, b"add n 1")]) == 1.5
+
+
 def test_completed_stop_and_copy_shape():
     res = _run(_mk(technique=Technique.STOP_AND_COPY))
     rec = res.record
@@ -421,12 +446,12 @@ def test_replay_reproduces_source_outputs(monkeypatch, kw):
     outputs the source already emitted for the replayed ids: replaying the
     mirrored stream against the restored checkpoint is state-equivalent to
     the source's own execution."""
-    handled = {}  # message id -> [(state, outputs)] in handling order
+    handled = {}  # message id -> [(state, output)] in handling order
 
     def spy(state, msg, real=service.handle):
-        state, outputs = real(state, msg)
-        handled.setdefault(msg.id, []).append((state, outputs))
-        return state, outputs
+        output = real(state, msg)
+        handled.setdefault(msg.id, []).append((state, output))
+        return output
 
     monkeypatch.setattr(service, "handle", spy)
     res = _run(_mk(**kw))

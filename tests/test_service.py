@@ -201,6 +201,15 @@ def test_keys_out_of_order_or_repeated_are_refused():
             deserialize_state(bad)
 
 
+def test_int_value_of_the_wrong_length_is_refused():
+    header = (3).to_bytes(8, "big") + (1).to_bytes(4, "big")
+    blob = header + _field(b"n") + _field(b"\x01" + (7).to_bytes(5, "big"))
+    for tail in (b"", bytes(16)):  # without and with room for an int entry
+        with pytest.raises(SerializationError,
+                           match="^int value must be exactly 8 bytes$"):
+            deserialize_state(blob + tail)
+
+
 @example(data={"é": 1, "ａ": b"w", "😀": "s", "z": 2})
 @given(data=st.dictionaries(keys, codec_values, min_size=2, max_size=6))
 def test_swapping_two_entries_is_refused(data):
@@ -219,25 +228,21 @@ def test_swapping_two_entries_is_refused(data):
 
 
 def test_handle_set_and_add():
-    s0 = ServiceState()
-    s1, out1 = handle(s0, _msg(1, b"set name alice smith"))
-    assert s1.data == {"name": b"alice smith"}
-    assert s1.last_processed_id == 1
-    assert out1 == [b"ok 1 set name"]
-    s2, out2 = handle(s1, _msg(2, b"add hits 3"))
-    assert s2.data["hits"] == 3
-    assert out2 == [b"ok 2 hits=3"]
-    s3, out3 = handle(s2, _msg(3, b"add hits -1 padpadpad"))
-    assert s3.data["hits"] == 2
-    assert out3 == [b"ok 3 hits=2"]
     # applied in place: the argument itself holds every command's effect
-    assert s1 is s0 and s2 is s0 and s3 is s0
-    assert s0.data == {"name": b"alice smith", "hits": 2}
-    assert s0.last_processed_id == 3
+    state = ServiceState()
+    assert handle(state, _msg(1, b"set name alice smith")) == b"ok 1 set name"
+    assert state.data == {"name": b"alice smith"}
+    assert state.last_processed_id == 1
+    assert handle(state, _msg(2, b"add hits 3")) == b"ok 2 hits=3"
+    assert state.data["hits"] == 3
+    assert handle(state, _msg(3, b"add hits -1 padpadpad")) == b"ok 3 hits=2"
+    assert state.data == {"name": b"alice smith", "hits": 2}
+    assert state.last_processed_id == 3
 
 
 def test_handle_stale_rejected_without_change():
-    state, _ = handle(ServiceState(), _msg(5, b"add n 1"))
+    state = ServiceState()
+    handle(state, _msg(5, b"add n 1"))
     with pytest.raises(StaleMessage):
         handle(state, _msg(5, b"add n 1"))
     with pytest.raises(StaleMessage):
@@ -253,7 +258,8 @@ def test_handle_unknown_command():
         handle(ServiceState(), _msg(1, b"set onlykey"))
     with pytest.raises(UnknownCommand):
         handle(ServiceState(), _msg(1, b"add k notanint"))
-    state, _ = handle(ServiceState(), _msg(1, b"set k v"))
+    state = ServiceState()
+    handle(state, _msg(1, b"set k v"))
     with pytest.raises(UnknownCommand):
         handle(state, _msg(2, b"add k 1"))  # k holds bytes, not a counter
     with pytest.raises(UnknownCommand):
@@ -294,8 +300,7 @@ def test_handle_reexecution_is_deterministic(ops):
         for i, (op, key, val) in enumerate(ops, start=1):
             # op-prefixed keys keep counters and blobs disjoint
             payload = b"%s %s%s %d" % (op, op[:1], key, val)
-            state, out = handle(state, _msg(i, payload))
-            outputs.extend(out)
+            outputs.append(handle(state, _msg(i, payload)))
         return serialize_state(state), outputs
 
     assert run() == run()
@@ -372,8 +377,7 @@ def test_checkpoint_requires_paused():
         inst.create_checkpoint()
     inst.pause()
     cp = inst.create_checkpoint()
-    assert cp.size_bytes == len(cp.snapshot) == 12
-    assert cp.checkpoint_last_id == 0
+    assert cp == serialize_state(ServiceState()) and len(cp) == 12
 
 
 def test_restore_round_trip_state():
@@ -386,13 +390,13 @@ def test_restore_round_trip_state():
     cp = inst.create_checkpoint()
     twin = ServiceInstance.restore(cp, clock, broker, 0.0, "out", "i2")
     assert twin.mode is Mode.PAUSED
-    assert serialize_state(twin.state) == cp.snapshot
+    assert serialize_state(twin.state) == cp
     assert twin.state.last_processed_id == 2
 
 
 def test_replay_suppresses_outputs_and_rejects_stale():
     """Restore onto a mirror backfilled from before the checkpoint: ids at or
-    below checkpoint_last_id are rejected side-effect free, newer ids advance
+    at or below the checkpoint's last id are rejected side-effect free, newer ids advance
     state, and nothing reaches the output queue."""
     clock, broker, inst = _rig(processing_ms=1.0)
     for _ in range(4):
@@ -401,7 +405,7 @@ def test_replay_suppresses_outputs_and_rejects_stale():
     clock.run_until()                      # source applied ids 1..4
     inst.pause()
     cp = inst.create_checkpoint()
-    assert cp.checkpoint_last_id == 4
+    assert deserialize_state(cp).last_processed_id == 4
 
     # replay feed whose backfill starts below the checkpoint id, so the twin
     # sees two already-applied ids before a genuinely new one
@@ -539,6 +543,32 @@ def test_finish_replay_refuses_a_queue_that_starves_below_the_watermark():
     assert inst.mode is Mode.REPLAYING
 
 
+def test_finish_replay_refuses_a_queue_that_skips_past_the_watermark():
+    # applied up to id 2, and the queue's next id is 5: ids 3 and 4 can never
+    # be applied, so switching at the watermark 4 would serve without them
+    clock, broker, inst = _rig(processing_ms=1.0)
+    broker.publish("in", b"add n 1")
+    broker.publish("in", b"add n 1")
+    inst.start_serving("in")
+    clock.run_until()
+    inst.pause()
+    twin = ServiceInstance.restore(inst.create_checkpoint(), clock, broker,
+                                   1.0, "out", "i2")
+    broker.create_queue("in.sec")
+    twin.enter_replay("in.sec")
+    twin.freeze_replay(lambda: None)
+    broker.create_queue("feed")
+    for _ in range(5):
+        broker.publish("feed", b"add n 1")
+    broker.start_mirror("feed", "in.sec", 5)
+    assert broker.queue("in.sec").ids() == [5]
+    with pytest.raises(ProtocolError,
+                       match=r"^i2: replay starved below watermark 4$"):
+        twin.finish_replay(4, "in", lambda: None)
+    assert twin.state.last_processed_id == 2
+    assert twin.mode is Mode.REPLAYING
+
+
 def test_request_stop_finishes_in_flight_first():
     def run(crash_at=None):
         clock, broker, inst = _rig(processing_ms=4.0)
@@ -564,6 +594,24 @@ def test_request_stop_finishes_in_flight_first():
     assert stopped == []
     assert inst.applied_count == 0
     assert broker.queue("in").ids() == [1]
+
+
+def test_pause_drops_a_waiting_stop():
+    # a pause releases the in-flight message and the stop waiting for it, so
+    # serving again does not stop at the next completion
+    clock, broker, inst = _rig(processing_ms=4.0)
+    broker.publish("in", b"add n 1")
+    broker.publish("in", b"add n 1")
+    inst.start_serving("in")
+    stopped = []
+    inst.request_stop(lambda: stopped.append(clock.now))
+    assert inst.busy
+    inst.pause()
+    inst.start_serving("in")
+    clock.run_until()
+    assert stopped == []
+    assert inst.mode is Mode.SERVING
+    assert inst.applied_count == 2
 
 
 def test_detached_instance_is_freed_without_the_cycle_collector():

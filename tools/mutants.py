@@ -50,6 +50,10 @@ MUTANTS = [
            "        for mid, payload in zip(q._ids, q._payloads):\n",
            "        q.mirror = (target_name, start_id)\n"
            "        for mid, payload in zip(q._ids, q._payloads):\n"),
+    Mutant("mirror append leaves the target's next id", "src/migsim/broker.py",
+           "        if mid >= target.next_id:\n"
+           "            target.next_id = mid + 1\n",
+           ""),
     Mutant("unsubscribe keeps its wake", "src/migsim/broker.py",
            "        if q._wake_event is not None:\n"
            "            self.clock.cancel(q._wake_event)\n",
@@ -73,14 +77,28 @@ MUTANTS = [
     Mutant("stale check as <", "src/migsim/service.py",
            "    if msg.id <= state.last_processed_id:\n",
            "    if msg.id < state.last_processed_id:\n"),
+    Mutant("an int value of the wrong length is decoded",
+           "src/migsim/service.py",
+           "        raise SerializationError(\"int value must be exactly 8 bytes\")\n",
+           "        return int.from_bytes(body, \"big\", signed=True)\n"),
     Mutant("low-watermark refusal disabled", "src/migsim/service.py",
            "        if watermark < self.state.last_processed_id:\n",
            "        if False:\n"),
     Mutant("starved-replay check disabled", "src/migsim/service.py",
-           "        if nxt is None:\n"
-           "            # every id <= watermark",
-           "        if False:\n"
-           "            # every id <= watermark"),
+           "        if nxt is None or nxt.id > watermark:\n",
+           "        if False:\n"),
+    Mutant("switch when the next id passes the watermark",
+           "src/migsim/service.py",
+           "        if self.state.last_processed_id >= watermark:\n"
+           "            self._handoff = None\n",
+           "        nxt = self.broker.peek(self._queue, self.instance_id)\n"
+           "        if (self.state.last_processed_id >= watermark\n"
+           "                or (nxt is not None and nxt.id > watermark)):\n"
+           "            self._handoff = None\n"),
+    Mutant("leaving keeps a waiting step", "src/migsim/service.py",
+           "            self._pending = None\n"
+           "            self._then = None\n",
+           "            self._pending = None\n"),
     Mutant("a wake that finds nothing reports idle", "src/migsim/service.py",
            "        if msg is None:\n"
            "            # a wake for what the instance already took",
@@ -88,11 +106,19 @@ MUTANTS = [
            "            if self.on_idle is not None:\n"
            "                self.on_idle()\n"
            "            # a wake for what the instance already took"),
+    Mutant("a no-change mode set is reported", "src/migsim/service.py",
+           "        if old is new:\n"
+           "            return\n",
+           ""),
     Mutant("handoff branch dropped from _complete", "src/migsim/service.py",
            "        elif self._handoff is not None:\n"
            "            self._try_next()\n",
            ""),
     # -- migration ----------------------------------------------------------------
+    Mutant("a second start is accepted", "src/migsim/migration.py",
+           "        if self.state is not State.IDLE:\n"
+           "            raise ProtocolError(\"migration already started\")\n",
+           ""),
     Mutant("< for the handoff threshold", "src/migsim/migration.py",
            "    if backlog <= policy.handoff_threshold:\n",
            "    if backlog < policy.handoff_threshold:\n"),
@@ -114,8 +140,12 @@ MUTANTS = [
            "            if False:\n"
            "                self.clock.cancel(self._monitor_event)\n"),
     Mutant("mirror starts at checkpoint_last_id + 2", "src/migsim/migration.py",
-           "                                 cp.checkpoint_last_id + 1)\n",
-           "                                 cp.checkpoint_last_id + 2)\n"),
+           "                                 self.source.state.last_processed_id + 1)\n",
+           "                                 self.source.state.last_processed_id + 2)\n"),
+    Mutant("drain measured with the main queue still full",
+           "src/migsim/migration.py",
+           "        if len(self.broker.queue(MAIN_QUEUE)) == 0:\n",
+           "        if True:\n"),
     Mutant("drain hook stays after the drain", "src/migsim/migration.py",
            "            self.target_instance.on_idle = None\n",
            "            pass\n"),
@@ -134,6 +164,17 @@ MUTANTS = [
     Mutant("a late discard is dropped in DONE", "src/migsim/migration.py",
            "        (State.DONE, \"discard\"): (_discard_target, State.DONE),\n",
            ""),
+    # -- harness and config -------------------------------------------------------
+    Mutant("compare times only completed trials", "src/migsim/harness.py",
+           "        if not timed:\n"
+           "            timed = cells\n",
+           ""),
+    Mutant("a technique listed twice is accepted", "src/migsim/config.py",
+           "            if tech in techniques:\n",
+           "            if False:\n"),
+    Mutant("a duplicate host id is accepted", "src/migsim/config.py",
+           "        if host_id in hosts:\n",
+           "        if False:\n"),
     # -- simulation ---------------------------------------------------------------
     Mutant("two-serving check disabled", "src/migsim/sim.py",
            "            if len(self._serving) > 1:\n",
