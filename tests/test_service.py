@@ -396,8 +396,8 @@ def test_restore_round_trip_state():
 
 def test_replay_suppresses_outputs_and_rejects_stale():
     """Restore onto a mirror backfilled from before the checkpoint: ids at or
-    at or below the checkpoint's last id are rejected side-effect free, newer ids advance
-    state, and nothing reaches the output queue."""
+    below the checkpoint's last id are rejected side-effect free, newer ids
+    advance state, and nothing reaches the output queue."""
     clock, broker, inst = _rig(processing_ms=1.0)
     for _ in range(4):
         broker.publish("in", b"add n 1")
