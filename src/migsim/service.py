@@ -15,14 +15,20 @@ Canonical state serialization (external interface, all integers big-endian):
 The length of this encoding is the state's size_bytes, which drives the
 linear checkpoint, restore and transfer cost models. Independent
 implementations must produce identical bytes for identical state.
+
+A table of int counters under keys of one length is encoded (when the
+keys are ASCII) and decoded one whole entry per C-driven struct call; any
+other state goes the general way, with the same bytes and the same refusals.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 
 from .broker import Broker, Message
 from .simnet import SimClock
@@ -111,18 +117,51 @@ def _decode_value(raw: bytes, key: str) -> Scalar:
     raise SerializationError(f"unknown value tag {tag:#x}")
 
 
+def _int_table(blob: bytes, klen: int) -> dict[str, Scalar] | None:
+    """Decode a body of whole int entries under keys of klen bytes, or None
+    at the first entry that is not one or whose key is not in order."""
+    data: dict[str, Scalar] = {}
+    prev = b""
+    entries = _int_entry(klen).iter_unpack(memoryview(blob)[12:])
+    try:
+        for n, raw, vlen, tag, number in entries:
+            if n != klen or vlen != 9 or tag != _TAG_INT or raw <= prev:
+                return None
+            data[raw.decode("utf-8")] = number
+            prev = raw
+    except UnicodeDecodeError:
+        return None
+    return data
+
+
 def serialize_state(state: ServiceState) -> bytes:
     if state.last_processed_id < 0:
         raise SerializationError("last_processed_id must be >= 0")
     data = state.data
     out = bytearray(_HEADER.pack(state.last_processed_id, len(data)))
+    # code-point order is UTF-8 byte order, so the keys sort as they are
+    keys = sorted(data)
+    n = len(keys[0]) if keys else -1
+    # exact ints under ASCII keys of one length: every entry has one layout,
+    # packed whole into its place in a body sized up front
+    if (set(map(len, keys)) == {n} and set(map(type, data.values())) == {int}
+            and "".join(keys).isascii()):
+        out += bytes(len(keys) * (n + 17))
+        try:
+            # pack_into returns None, which a deque of length 0 drops
+            deque(map(_int_entry(n).pack_into, repeat(out),
+                      range(12, len(out), n + 17), repeat(n),
+                      map(str.encode, keys), repeat(9), repeat(_TAG_INT),
+                      map(data.__getitem__, keys)), maxlen=0)
+            return bytes(out)
+        except struct.error:
+            pass  # an int out of range, which the loop below names
     pack_u32, int_entry = _U32.pack, _int_entry
     lo, hi = _I64_MIN, _I64_MAX
-    # code-point order is UTF-8 byte order, so the keys sort as they are
-    for key in sorted(data):
+    for key in keys:
         kb = key.encode("utf-8")
         value = data[key]
-        # exact ints in range take the fast path; bool, int subclasses and
+        # exact ints in range pack as one entry; bool, int subclasses and
         # out-of-range ints get _encode_value's checks and messages
         if type(value) is int and lo <= value <= hi:
             n = len(kb)
@@ -144,9 +183,16 @@ def deserialize_state(blob: bytes) -> ServiceState:
     if size < 12:
         raise SerializationError("truncated state blob")
     last_id, count = _HEADER.unpack_from(blob, 0)
-    offset = 12
-    data: dict[str, Scalar] = {}
     unpack_u32, int_entry = _U32.unpack_from, _int_entry
+    # a blob sized as count int entries under the first key's length may be
+    # a table of counters (an empty state is one of none); if any entry is
+    # not an int entry, the loop below names why
+    klen = unpack_u32(blob, 12)[0] if size >= 16 else 0
+    if (size - 12 == count * (klen + 17)
+            and (data := _int_table(blob, klen)) is not None):
+        return ServiceState(data, last_id)
+    offset = 12
+    data = {}
     prev = None
     for _ in range(count):
         if offset + 4 > size:

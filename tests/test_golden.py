@@ -25,7 +25,10 @@ import dataclasses
 import enum
 import functools
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -342,6 +345,42 @@ def test_shipped_scenario_reports_match_golden(tmp_path):
     got = {p.name: scenario_digest(p, tmp_path)
            for p in sorted(SCENARIO_DIR.glob("*.json"))}
     assert got == SCENARIO_DIGESTS
+
+
+HASH_SEED_RUN = """
+import hashlib, random, sys, tempfile
+from pathlib import Path
+from migsim.config import load_scenario
+from migsim.harness import export_csv, run_experiment
+from migsim.service import ServiceState, serialize_state
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "report.csv"
+    export_csv(run_experiment(load_scenario(sys.argv[1])), out)
+    print(hashlib.sha256(out.read_bytes()).hexdigest())
+rng = random.Random(11)
+keys = [f"k{i:05d}" for i in range(10_000)]
+rng.shuffle(keys)
+table = {k: rng.randint(-2 ** 63, 2 ** 63 - 1) for k in keys}
+print(hashlib.sha256(serialize_state(ServiceState(table, 9))).hexdigest())
+"""
+
+
+def test_reports_and_encoding_do_not_depend_on_the_hash_seed():
+    # str hashing, and so set and dict layout, changes with PYTHONHASHSEED
+    src = str(SCENARIO_DIR.parent / "src")
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        runs.append(subprocess.Popen(
+            [sys.executable, "-c", HASH_SEED_RUN,
+             str(SCENARIO_DIR / "crash_replay.json")],
+            env=env, stdout=subprocess.PIPE, text=True))
+    outs = [run.communicate(timeout=60)[0].split() for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    (report_0, table_0), (report_1, table_1) = outs
+    assert report_0 == report_1 == SCENARIO_DIGESTS["crash_replay.json"]
+    assert table_0 == table_1
 
 
 def test_fault_grid_matches_golden():

@@ -164,6 +164,40 @@ def test_compare_summarizes_a_technique_with_no_completed_trial():
     assert ms2m.mean_total_ms == 40.0
 
 
+def test_calibrated_reduction_follows_from_its_constants():
+    # the paper's 19.92%, derived from the scenario's constants and the
+    # 166-byte checkpoint every trial takes: at 1024 ms per KiB, that adds
+    # 166 ms to the checkpoint and to each restore; the link has no bandwidth
+    # limit, so a transfer is its latency
+    scenario = json.loads((SCENARIO_DIR / "calibrated.json").read_text())
+    mig = scenario["migration"]
+    source, target = scenario["hosts"]
+    baseline = scenario["overrides"]["StopAndCopy"]
+    size_kib = 166 / 1024
+    checkpoint = (source["checkpoint_fixed_ms"]
+                  + source["checkpoint_ms_per_kib"] * size_kib)
+    restore_by_size = target["restore_ms_per_kib"] * size_kib
+    ms2m = mig["pause_ms"] + checkpoint + scenario["links"][0]["latency_ms"]
+    stop_and_copy = (mig["pause_ms"] + checkpoint + baseline["latency_ms"]
+                     + baseline["restore_fixed_ms"] + restore_by_size
+                     + mig["continuation_ms"])
+    assert ms2m == pytest.approx(3581.896, abs=5e-4)
+    assert stop_and_copy == pytest.approx(4472.720, abs=5e-4)
+
+    rows = run_experiment(load_scenario(SCENARIO_DIR / "calibrated.json"))
+    assert all(abs(r.checkpoint_ms - checkpoint) < 1e-9 for r in rows)
+    summary = compare(rows)
+    reduction = (1 - ms2m / stop_and_copy) * 100
+    assert abs(summary.downtime_reduction_pct_reading_pct - reduction) < 1e-9
+    assert f"{reduction:.2f}" == "19.92"
+    # the paused reading of the same run: MS2M's source resumes after the
+    # continuation, before the transfer
+    paused = mig["pause_ms"] + checkpoint + mig["continuation_ms"]
+    assert f"{summary.downtime_reduction_paused_pct:.2f}" == "28.93"
+    assert abs(summary.downtime_reduction_paused_pct
+               - (1 - paused / stop_and_copy) * 100) < 1e-9
+
+
 # -- scenario parsing ------------------------------------------------------------
 
 

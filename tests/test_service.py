@@ -1,5 +1,6 @@
 import gc
 import os
+import random
 import sys
 import weakref
 
@@ -222,6 +223,87 @@ def test_swapping_two_entries_is_refused(data):
             with pytest.raises(SerializationError,
                                match="is repeated or out of order$"):
                 deserialize_state(header + b"".join(swapped))
+
+
+# A blob sized as whole int entries under its first key's length is read
+# entry by entry in one struct call each; the blobs below are sized so, and
+# each has one entry that is not such an int.
+
+
+def test_eight_byte_bytes_value_among_ints_round_trips():
+    # tag 0x02 plus 8 bytes has an int entry's value length
+    state = ServiceState({"a": 1, "b": b"12345678", "c": 3}, 4)
+    blob = serialize_state(state)
+    assert len(blob) == 12 + 3 * 18
+    assert deserialize_state(blob) == state
+
+
+def test_int_sized_entry_with_a_short_value_length_is_refused():
+    header = (3).to_bytes(8, "big") + (1).to_bytes(4, "big")
+    blob = (header + _field(b"n") + (7).to_bytes(4, "big") + b"\x01"
+            + (5).to_bytes(8, "big"))
+    assert len(blob) == 12 + 18
+    with pytest.raises(SerializationError,
+                       match="^int value must be exactly 8 bytes$"):
+        deserialize_state(blob)
+
+
+def test_int_sized_entry_with_a_shorter_key_is_refused():
+    # read with the first key's length, "b"'s entry would be key "b\x00"
+    # and int 7; its own key field makes its value field empty
+    header = (3).to_bytes(8, "big") + (2).to_bytes(4, "big")
+    blob = (header + _field(b"aa") + _field(b"\x01" + (1).to_bytes(8, "big"))
+            + _field(b"b") + (0).to_bytes(4, "big") + b"\x09\x01"
+            + (7).to_bytes(8, "big"))
+    assert len(blob) == 12 + 2 * 19
+    with pytest.raises(SerializationError, match="^empty value field$"):
+        deserialize_state(blob)
+
+
+@pytest.mark.parametrize("data", [
+    {"a": 1, "bb": 2},            # two key lengths
+    {"é": 1, "z": 2},             # one length in characters, not in bytes
+    {"": -(2 ** 63)},             # the empty key
+    {"a": 1, "b": Count(2)},      # an int subclass
+])
+def test_counter_tables_off_the_one_layout_encode_alike(data):
+    blob = serialize_state(ServiceState(data, 2))
+    assert blob == _reference_encode(data, 2)
+    assert deserialize_state(blob).data == data
+
+
+def _counter_table(size: int) -> dict:
+    """size counters under seeded keys of one length, inserted shuffled;
+    both int64 extremes are among the values, or one of them if size is 1."""
+    rng = random.Random(size)
+    keys = [f"k{i:05d}" for i in rng.sample(range(10 ** 5), size)]
+    values = [-(2 ** 63), 2 ** 63 - 1] + [
+        rng.randint(-(2 ** 63), 2 ** 63 - 1) for _ in range(size - 2)]
+    rng.shuffle(values)
+    return dict(zip(keys, values))
+
+
+@pytest.mark.parametrize("size", [1, 1023, 1024, 1025, 10 ** 4])
+def test_counter_tables_match_the_reference_encoder(size):
+    data = _counter_table(size)
+    blob = serialize_state(ServiceState(data, 6))
+    assert blob == _reference_encode(data, 6)
+    back = deserialize_state(blob)
+    assert back.data == data and back.last_processed_id == 6
+    assert list(back.data) == sorted(data)
+
+
+def test_a_value_outside_the_counter_layout_is_found_anywhere():
+    data = _counter_table(10 ** 4)
+    order = sorted(data)
+    for key in (order[0], order[len(order) // 2], order[-1]):
+        for bad, message in ((True, "bool values are not part of the state "
+                                    "schema"),
+                             (2 ** 63, f"int out of 64-bit range: {2 ** 63}")):
+            with pytest.raises(SerializationError, match=f"^{message}$"):
+                serialize_state(ServiceState({**data, key: bad}, 0))
+        odd = {**data, key: Count(5)}
+        assert serialize_state(ServiceState(odd, 0)) == _reference_encode(odd, 0)
 
 
 # -- message handler -----------------------------------------------------------

@@ -81,6 +81,38 @@ MUTANTS = [
            "src/migsim/service.py",
            "        raise SerializationError(\"int value must be exactly 8 bytes\")\n",
            "        return int.from_bytes(body, \"big\", signed=True)\n"),
+    Mutant("counter-table decode skips the tag check", "src/migsim/service.py",
+           "            if n != klen or vlen != 9 or tag != _TAG_INT or raw <= prev:\n",
+           "            if n != klen or vlen != 9 or raw <= prev:\n"),
+    Mutant("counter-table decode skips the value-length check",
+           "src/migsim/service.py",
+           "            if n != klen or vlen != 9 or tag != _TAG_INT or raw <= prev:\n",
+           "            if n != klen or tag != _TAG_INT or raw <= prev:\n"),
+    Mutant("counter-table decode skips the key-length check",
+           "src/migsim/service.py",
+           "            if n != klen or vlen != 9 or tag != _TAG_INT or raw <= prev:\n",
+           "            if vlen != 9 or tag != _TAG_INT or raw <= prev:\n"),
+    Mutant("counter-table decode skips the order check",
+           "src/migsim/service.py",
+           "            if n != klen or vlen != 9 or tag != _TAG_INT or raw <= prev:\n",
+           "            if n != klen or vlen != 9 or tag != _TAG_INT:\n"),
+    Mutant("counter-table decode lets UnicodeDecodeError out",
+           "src/migsim/service.py",
+           "    except UnicodeDecodeError:\n"
+           "        return None\n",
+           "    except ZeroDivisionError:\n"
+           "        return None\n"),
+    Mutant("counter-table encode accepts bool", "src/migsim/service.py",
+           "set(map(type, data.values())) == {int}",
+           "set(map(type, data.values())) <= {int, bool}"),
+    Mutant("counter-table encode skips the ASCII check",
+           "src/migsim/service.py",
+           "{int}\n            and \"\".join(keys).isascii()):\n",
+           "{int}):\n"),
+    Mutant("counter-table encode skips the one-length check",
+           "src/migsim/service.py",
+           "    if (set(map(len, keys)) == {n} and ",
+           "    if ("),
     Mutant("low-watermark refusal disabled", "src/migsim/service.py",
            "        if watermark < self.state.last_processed_id:\n",
            "        if False:\n"),
