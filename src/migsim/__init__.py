@@ -10,7 +10,7 @@ from .migration import (Decision, HandoffPolicy, MigrationManager,
                         decide_handoff)
 from .service import (Mode, ProtocolError, ServiceError, ServiceInstance,
                       ServiceState, StaleMessage, deserialize_state, handle,
-                      serialize_state, state_size_bytes)
+                      serialize_state)
 from .sim import FaultSpec, SimParams, SimResult, Simulation
 from .simnet import (Host, Link, SimClock, SimError, checkpoint_duration,
                      restore_duration, transfer_duration)
@@ -29,7 +29,7 @@ __all__ = [
     "Outcome", "Phase", "PhaseSpan", "Technique", "decide_handoff",
     "Mode", "ProtocolError", "ServiceError", "ServiceInstance",
     "ServiceState", "StaleMessage", "deserialize_state", "handle",
-    "serialize_state", "state_size_bytes",
+    "serialize_state",
     "FaultSpec", "SimParams", "SimResult", "Simulation",
     "Host", "Link", "SimClock", "SimError", "checkpoint_duration",
     "restore_duration", "transfer_duration",

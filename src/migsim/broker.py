@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
+from .rules import Rule, problem
 from .simnet import SimClock
 
 
@@ -130,8 +131,9 @@ class Broker:
     """
 
     def __init__(self, clock: SimClock, delivery_latency_ms: float = 0.0):
-        if delivery_latency_ms < 0:
-            raise ValueError("delivery_latency_ms must be >= 0")
+        text = problem(delivery_latency_ms, Rule(minimum=0.0))
+        if text is not None:
+            raise ValueError(f"Broker.delivery_latency_ms: {text}")
         self.clock = clock
         self.delivery_latency_ms = delivery_latency_ms
         self._queues: dict[str, Queue] = {}

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 from .broker import Broker
 from .rules import check, param
-from .service import Mode, ProtocolError, ServiceInstance, state_size_bytes
+from .service import Mode, ProtocolError, ServiceInstance, serialize_state
 from .simnet import (SimClock, checkpoint_duration, restore_duration,
                      transfer_duration)
 
@@ -395,7 +395,7 @@ class MigrationManager:
 
     def _checkpoint_source(self) -> None:
         self.enter_phase(Phase.CHECKPOINT)
-        size = state_size_bytes(self.source.state)
+        size = len(serialize_state(self.source.state))
         self._after(checkpoint_duration(self.params.source_host, size),
                     "checkpoint_elapsed")
 

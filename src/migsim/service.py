@@ -16,9 +16,10 @@ The length of this encoding is the state's size_bytes, which drives the
 linear checkpoint, restore and transfer cost models. Independent
 implementations must produce identical bytes for identical state.
 
-A table of int counters under keys of one length is encoded (when the
-keys are ASCII) and decoded one whole entry per C-driven struct call; any
-other state goes the general way, with the same bytes and the same refusals.
+The codec has two paths with the same bytes and the same refusals: a table
+of int counters under keys of one length (ASCII when encoding) goes one
+whole entry per C-driven struct call, anything else entry by entry through
+_encode_value and _decode_value.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from functools import lru_cache
 from itertools import repeat
 
 from .broker import Broker, Message
+from .rules import Rule, problem
 from .simnet import SimClock
 
 Scalar = int | bytes | str
@@ -74,7 +76,6 @@ _TAG_STR = 0x03
 _HEADER = struct.Struct(">QI")
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
-_I64_MIN, _I64_MAX = -(2 ** 63), 2 ** 63 - 1
 
 
 @lru_cache(maxsize=128)
@@ -104,8 +105,9 @@ def _decode_value(raw: bytes, key: str) -> Scalar:
         raise SerializationError("empty value field")
     tag, body = raw[0], raw[1:]
     if tag == _TAG_INT:
-        # deserialize_state decodes every 9-byte int value itself
-        raise SerializationError("int value must be exactly 8 bytes")
+        if len(body) != 8:
+            raise SerializationError("int value must be exactly 8 bytes")
+        return _I64.unpack(body)[0]
     if tag == _TAG_BYTES:
         return body
     if tag == _TAG_STR:
@@ -156,22 +158,14 @@ def serialize_state(state: ServiceState) -> bytes:
             return bytes(out)
         except struct.error:
             pass  # an int out of range, which the loop below names
-    pack_u32, int_entry = _U32.pack, _int_entry
-    lo, hi = _I64_MIN, _I64_MAX
+    pack_u32 = _U32.pack
     for key in keys:
         kb = key.encode("utf-8")
-        value = data[key]
-        # exact ints in range pack as one entry; bool, int subclasses and
-        # out-of-range ints get _encode_value's checks and messages
-        if type(value) is int and lo <= value <= hi:
-            n = len(kb)
-            out += int_entry(n).pack(n, kb, 9, _TAG_INT, value)
-        else:
-            vb = _encode_value(value)
-            out += pack_u32(len(kb))
-            out += kb
-            out += pack_u32(len(vb))
-            out += vb
+        vb = _encode_value(data[key])
+        out += pack_u32(len(kb))
+        out += kb
+        out += pack_u32(len(vb))
+        out += vb
     return bytes(out)
 
 
@@ -183,7 +177,7 @@ def deserialize_state(blob: bytes) -> ServiceState:
     if size < 12:
         raise SerializationError("truncated state blob")
     last_id, count = _HEADER.unpack_from(blob, 0)
-    unpack_u32, int_entry = _U32.unpack_from, _int_entry
+    unpack_u32 = _U32.unpack_from
     # a blob sized as count int entries under the first key's length may be
     # a table of counters (an empty state is one of none); if any entry is
     # not an int entry, the loop below names why
@@ -199,14 +193,9 @@ def deserialize_state(blob: bytes) -> ServiceState:
             raise SerializationError("truncated key length")
         (klen,) = unpack_u32(blob, offset)
         end = offset + 4 + klen
-        if end + 13 <= size:
-            # read the entry as an int one; other values go the general way
-            _, raw, vlen, tag, number = int_entry(klen).unpack_from(
-                blob, offset)
-        elif end <= size:
-            raw, tag = blob[offset + 4:end], None
-        else:
+        if end > size:
             raise SerializationError("truncated key")
+        raw = blob[offset + 4:end]
         try:
             key = raw.decode("utf-8")
         except UnicodeDecodeError:
@@ -215,10 +204,6 @@ def deserialize_state(blob: bytes) -> ServiceState:
         if prev is not None and raw <= prev:
             raise SerializationError(f"key {key!r} is repeated or out of order")
         prev = raw
-        if tag == _TAG_INT and vlen == 9:
-            data[key] = number
-            offset = end + 13
-            continue
         if end + 4 > size:
             raise SerializationError("truncated value length")
         (vlen,) = unpack_u32(blob, end)
@@ -231,10 +216,6 @@ def deserialize_state(blob: bytes) -> ServiceState:
     if offset != size:
         raise SerializationError("trailing bytes after state entries")
     return ServiceState(data, last_id)
-
-
-def state_size_bytes(state: ServiceState) -> int:
-    return len(serialize_state(state))
 
 
 def handle(state: ServiceState, msg: Message) -> bytes:
@@ -328,8 +309,9 @@ class ServiceInstance:
     def __init__(self, instance_id: str, state: ServiceState,
                  clock: SimClock, broker: Broker, processing_ms: float,
                  output_topic: str):
-        if processing_ms < 0:
-            raise ValueError("processing_ms must be >= 0")
+        text = problem(processing_ms, Rule(minimum=0.0))
+        if text is not None:
+            raise ValueError(f"ServiceInstance.processing_ms: {text}")
         self.instance_id = instance_id
         self.state = state
         self.clock = clock

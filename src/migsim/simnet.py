@@ -136,10 +136,10 @@ class SimClock:
     def run_until(self, max_events: int = 10_000_000) -> float:
         """Run events in order until the queue drains. Returns the final time.
 
-        Firing max_events events in one call is taken to mean that the run
-        does not terminate, and raises SimError. events_processed gains the
-        events that returned once run_until returns or raises, so it stays
-        exact when an event raises or the budget runs out.
+        Firing max_events events in one call raises SimError, naming the
+        budget and the time it ran out. events_processed gains the events
+        that returned once run_until returns or raises, so it stays exact
+        when an event raises or the budget runs out.
         """
         heap = self._heap
         pop = heapq.heappop
@@ -155,8 +155,8 @@ class SimClock:
                 fn()
                 processed += 1
                 if processed >= max_events:
-                    raise SimError(
-                        "event budget exhausted; run does not terminate")
+                    raise SimError(f"event budget of {max_events} events "
+                                   f"exhausted at t={self.now} ms")
         finally:
             self.events_processed += processed
         return self.now

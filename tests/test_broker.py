@@ -115,6 +115,18 @@ def test_wake_fires_after_delivery_latency():
     assert wakes == [12.5]
 
 
+@pytest.mark.parametrize("latency, text", [
+    (float("nan"), "must be finite, got nan"),
+    (float("inf"), "must be finite, got inf"),
+    (-1, "must be >= 0.0, got -1"),
+])
+def test_bad_delivery_latency_refused_when_built(latency, text):
+    # refused here, not at the first wake the broker schedules
+    with pytest.raises(ValueError) as err:
+        Broker(SimClock(), latency)
+    assert str(err.value) == f"Broker.delivery_latency_ms: {text}"
+
+
 def test_wake_not_duplicated_for_burst_publishes():
     clock = SimClock()
     broker = Broker(clock)

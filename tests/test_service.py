@@ -12,7 +12,7 @@ from migsim.broker import Broker, Message
 from migsim.service import (Mode, ModeError, ProtocolError, SerializationError,
                             ServiceInstance, ServiceState, StaleMessage,
                             UnknownCommand, deserialize_state, handle,
-                            serialize_state, state_size_bytes)
+                            serialize_state)
 from migsim.sim import SimParams, Simulation
 from migsim.simnet import Host, Link, SimClock
 from migsim.workload import WorkloadSpec
@@ -79,7 +79,7 @@ def test_golden_encoding():
 
 
 def test_empty_state_is_twelve_bytes():
-    assert state_size_bytes(ServiceState()) == 12
+    assert len(serialize_state(ServiceState())) == 12
 
 
 def test_encoding_independent_of_insertion_order():
@@ -399,6 +399,18 @@ def _rig(processing_ms=4.0):
     inst = ServiceInstance("i1", ServiceState(), clock, broker, processing_ms,
                            "out")
     return clock, broker, inst
+
+
+@pytest.mark.parametrize("processing_ms, text", [
+    (float("nan"), "must be finite, got nan"),
+    (float("inf"), "must be finite, got inf"),
+    (-1, "must be >= 0.0, got -1"),
+])
+def test_bad_processing_delay_refused_when_built(processing_ms, text):
+    # refused here, not at the first completion the instance schedules
+    with pytest.raises(ValueError) as err:
+        _rig(processing_ms)
+    assert str(err.value) == f"ServiceInstance.processing_ms: {text}"
 
 
 def test_processing_delay_times_output_emission():

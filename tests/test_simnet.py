@@ -73,8 +73,9 @@ def test_event_budget_guards_against_runaway_loops():
         clock.schedule(0.0, reschedule)
 
     clock.schedule(0.0, reschedule)
-    with pytest.raises(SimError):
+    with pytest.raises(SimError) as err:
         clock.run_until(max_events=1000)
+    assert str(err.value) == "event budget of 1000 events exhausted at t=0.0 ms"
     assert clock.events_processed == 1000
 
 
