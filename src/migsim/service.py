@@ -293,15 +293,21 @@ class ServiceInstance:
     pause or crash before completion leaves the message fully unapplied and
     still buffered for redelivery. The ack reports how many messages are
     still buffered. If there are any, the completion that acked takes the
-    next one itself, unless a deferred step or a pending handoff decides
-    what comes next; if there are none, the instance goes idle at once,
-    since a poll could only find the queue empty. A publish wakes it again.
+    next one itself, unless a hold is set; if there are none, the instance
+    goes idle at once, since a poll could only find the queue empty. A
+    publish wakes it again.
+
+    The hold is the one wait the instance keeps: request_stop's stop,
+    freeze_replay's freeze or finish_replay's switch at the watermark. Once
+    nothing is in flight it is consulted before each poll, and a True return
+    means it has taken over, so the instance does not poll. Setting a hold
+    replaces one that has not fired; leaving the queue drops it.
 
     Hooks (all optional): on_mode_change(instance, old, new) after every mode
     change, and on_idle() in two places only: when attaching to a queue
     finds it empty, and when a completion's ack leaves nothing buffered and
-    neither a deferred step nor a handoff takes over. A wake whose poll
-    finds nothing stays silent: the instance reported idle when it drained.
+    no hold is set. A wake whose poll finds nothing stays silent: the
+    instance reported idle when it drained.
     The callbacks of freeze_replay, finish_replay and request_stop, like
     on_idle, take no argument.
     """
@@ -328,9 +334,7 @@ class ServiceInstance:
         self._queue: str | None = None  # consumed as instance_id
         self._pending = None            # the in-flight message's completion
         self._msg: Message | None = None  # the message polled last
-        self._then = None               # step deferred until that completion
-        self._frozen = False
-        self._handoff = None            # (watermark, main_queue, on_switched)
+        self._hold = None               # consulted before a poll; True: held
 
     # -- mode handling -------------------------------------------------------
 
@@ -367,24 +371,16 @@ class ServiceInstance:
             self.on_idle()  # the first poll found the queue empty
 
     def _leave(self, mode: Mode) -> None:
-        """Detach from the queue. An in-flight message is dropped unapplied,
-        together with any step waiting for it; the broker redelivers it to
-        the next consumer."""
+        """Detach from the queue and drop the hold. An in-flight message is
+        dropped unapplied; the broker redelivers it to the next consumer."""
         if self._pending is not None:
             self.clock.cancel(self._pending)
             self._pending = None
-            self._then = None
+        self._hold = None
         if self._queue is not None:
             self.broker.unsubscribe(self._queue, self.instance_id)
             self._queue = None
         self._set_mode(mode)
-
-    def _when_quiescent(self, step) -> None:
-        """Run step now, or once the in-flight message has completed."""
-        if self._pending is None:
-            step()
-        else:
-            self._then = step
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -431,8 +427,14 @@ class ServiceInstance:
         completion still applies (suppressed); on_frozen() fires once
         the instance is quiescent."""
         self._require(Mode.REPLAYING)
-        self._frozen = True
-        self._when_quiescent(on_frozen)
+
+        def freeze():
+            self._hold = lambda: True  # frozen until finish_replay
+            on_frozen()
+            return True
+
+        self._hold = freeze
+        self._try_next()
 
     def finish_replay(self, watermark: int, main_queue: str, on_switched) -> None:
         """Replay the remaining backlog up to and including watermark, then
@@ -440,15 +442,17 @@ class ServiceInstance:
         outputs. on_switched() fires at the switchover instant.
 
         A watermark below what was already applied would mean suppressed
-        outputs can never be emitted; that is refused.
+        outputs can never be emitted; that is refused. Like any new hold,
+        the switch replaces a freeze that still waits on its in-flight
+        message: on_frozen() then never fires, and the replay goes on.
         """
         self._require(Mode.REPLAYING)
         if watermark < self.state.last_processed_id:
             raise ProtocolError(
                 f"watermark {watermark} below already-applied id "
                 f"{self.state.last_processed_id}")
-        self._handoff = (watermark, main_queue, on_switched)
-        self._frozen = False
+        self._hold = lambda: self._switched_at_watermark(
+            watermark, main_queue, on_switched)
         self._try_next()
 
     def request_stop(self, on_stopped) -> None:
@@ -460,8 +464,10 @@ class ServiceInstance:
         def stop_then_report():
             self._leave(Mode.STOPPED)
             on_stopped()
+            return True
 
-        self._when_quiescent(stop_then_report)
+        self._hold = stop_then_report
+        self._try_next()
 
     def stop(self) -> None:
         """Immediate stop (discard path). Any in-flight message is released
@@ -477,11 +483,10 @@ class ServiceInstance:
     # -- consumption ---------------------------------------------------------
 
     def _try_next(self) -> None:
-        # busy, or a frozen replay: nothing to do
-        if self._pending is not None or self._frozen:
-            return
-        if self._handoff is not None and self._switched_at_watermark():
-            return
+        if self._pending is not None:
+            return  # busy
+        if self._hold is not None and self._hold():
+            return  # stopped, frozen or switched instead of polling
         msg = self.broker.poll(self._queue, self.instance_id)
         if msg is None:
             # a wake for what the instance already took: it reported idle
@@ -492,12 +497,12 @@ class ServiceInstance:
         self._pending = clock.schedule_at(
             clock.now + self.processing_ms, self._complete)
 
-    def _switched_at_watermark(self) -> bool:
+    def _switched_at_watermark(self, watermark: int, main_queue: str,
+                               on_switched) -> bool:
         """Switch to the main queue once the replay has applied the
         watermark. False: keep replaying."""
-        watermark, main_queue, on_switched = self._handoff
         if self.state.last_processed_id >= watermark:
-            self._handoff = None
+            self._hold = None
             self.broker.unsubscribe(self._queue, self.instance_id)
             self._attach(main_queue, Mode.SERVING, on_switched)
             return True
@@ -529,28 +534,21 @@ class ServiceInstance:
             else:
                 self.replayed_count += 1
         left = self.broker.ack(self._queue, self.instance_id, msg.id)
-        then, self._then = self._then, None
-        if then is not None:
-            then()
-        elif self._handoff is not None:
+        if self._hold is not None:
             self._try_next()
         elif left:
             # _try_next's poll without its checks, which this completion has
-            # answered: attached, not busy, and a frozen replay never gets
-            # here, since its on_frozen step was waiting
+            # answered: attached, not busy and no hold
             self._msg = self.broker.poll(self._queue, self.instance_id)
             clock = self.clock
             self._pending = clock.schedule_at(
                 clock.now + self.processing_ms, self._complete)
-        else:
+        elif self.on_idle is not None:
             # the poll _try_next would make finds the queue empty, and the
             # instance has been busy since its last poll: it goes idle
-            if self.on_idle is not None:
-                self.on_idle()
+            self.on_idle()
 
     def detach_hooks(self) -> None:
-        """Drop the hooks and any step waiting on a completion, so that the
-        instance holds no callback into its owners. Mode, state and counters
-        stay readable."""
-        self.on_mode_change = self.on_idle = None
-        self._then = self._handoff = None
+        """Drop the hooks and the hold, so that the instance holds no
+        callback into its owners. Mode, state and counters stay readable."""
+        self.on_mode_change = self.on_idle = self._hold = None

@@ -562,6 +562,53 @@ def test_freeze_replay_waits_for_in_flight():
     assert broker.queue("in.sec").ids() == [2]
 
 
+def test_a_frozen_replay_takes_nothing_until_finish_replay():
+    # the freeze waits for id 1; from then on neither that completion nor a
+    # later publish's wake takes id 2 or 3 off the replay queue
+    clock, broker, inst = _rig(processing_ms=1.0)
+    broker.create_queue("in.sec")
+    broker.start_mirror("in", "in.sec", 1)
+    broker.publish("in", b"add n 1")
+    broker.publish("in", b"add n 1")
+    inst.enter_replay("in.sec")
+    frozen = []
+    inst.freeze_replay(lambda: frozen.append(clock.now))
+    assert inst.busy                       # id 1 mid-processing
+    clock.schedule_at(5.0, lambda: broker.publish("in", b"add n 1"))
+    clock.run_until()
+    assert frozen == [1.0]
+    assert (inst.state.last_processed_id, inst.replayed_count) == (1, 1)
+    assert broker.queue("in.sec").ids() == [2, 3]
+    assert inst.mode is Mode.REPLAYING
+
+    switched = []
+    inst.finish_replay(3, "in", lambda: switched.append(clock.now))
+    clock.run_until()
+    assert switched == [7.0]               # ids 2 and 3 replayed from t=5
+    assert (inst.state.last_processed_id, inst.replayed_count) == (3, 3)
+    assert inst.mode is Mode.SERVING
+
+
+def test_finish_replay_replaces_a_freeze_still_waiting_on_its_message():
+    # the switch takes the freeze's place: on_frozen never fires, and the
+    # replay goes on past id 1 to the watermark instead of stalling there
+    clock, broker, inst = _rig(processing_ms=1.0)
+    broker.create_queue("in.sec")
+    broker.start_mirror("in", "in.sec", 1)
+    for _ in range(3):
+        broker.publish("in", b"add n 1")
+    inst.enter_replay("in.sec")
+    frozen, switched = [], []
+    inst.freeze_replay(lambda: frozen.append(clock.now))
+    inst.finish_replay(3, "in", lambda: switched.append(
+        inst.state.last_processed_id))
+    clock.run_until()
+    assert frozen == []
+    assert switched == [3]
+    assert inst.replayed_count == 3
+    assert inst.mode is Mode.SERVING
+
+
 def test_finish_replay_refuses_watermark_below_applied():
     clock, broker, inst = _rig(processing_ms=0.0)
     broker.publish("in", b"add n 1")

@@ -17,7 +17,7 @@ Replay, finalization and latency hops are left out.
 """
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from migsim.migration import Outcome, Phase, Technique
 from migsim.sim import SimParams, Simulation
@@ -45,6 +45,13 @@ workloads = st.builds(WorkloadSpec, st.sampled_from(KINDS),
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
+# one explicit MS2M cell with a per-KiB checkpoint cost, run before any
+# generated one, so a sizing fault fails at once instead of after a shrink
+@example(source=Host("a", checkpoint_ms_per_kib=8.0), target=Host("b"),
+         link=Link("a", "b"),
+         workload=WorkloadSpec("ConstantRate", 50, 200),
+         technique=Technique.MS2M, processing_ms=1.0, pause_ms=1.0,
+         continuation_ms=1.0, trigger_ms=100)
 @given(source=hosts("a"), target=hosts("b"), link=links, workload=workloads,
        technique=st.sampled_from(list(Technique)),
        processing_ms=st.integers(0, 500).map(lambda n: n / 100),

@@ -158,17 +158,31 @@ MUTANTS = [
     Mutant("switch when the next id passes the watermark",
            "src/migsim/service.py",
            "        if self.state.last_processed_id >= watermark:\n"
-           "            self._handoff = None\n",
+           "            self._hold = None\n",
            "        nxt = self.broker.peek(self._queue, self.instance_id)\n"
            "        if (self.state.last_processed_id >= watermark\n"
            "                or (nxt is not None and nxt.id > watermark)):\n"
-           "            self._handoff = None\n",
+           "            self._hold = None\n",
            "tests/test_service.py::test_finish_replay_refuses_a_queue_that_skips_past_the_watermark"),
     Mutant("leaving keeps a waiting step", "src/migsim/service.py",
            "            self._pending = None\n"
-           "            self._then = None\n",
+           "        self._hold = None\n",
            "            self._pending = None\n",
            "tests/test_service.py::test_pause_drops_a_waiting_stop"),
+    Mutant("detaching keeps the hold", "src/migsim/service.py",
+           "        self.on_mode_change = self.on_idle = self._hold = None\n",
+           "        self.on_mode_change = self.on_idle = None\n",
+           "tests/test_service.py::test_detached_instance_is_freed_without_the_cycle_collector"),
+    Mutant("a frozen replay lets a poll through", "src/migsim/service.py",
+           "            self._hold = lambda: True  # frozen until finish_replay\n",
+           "            self._hold = lambda: False\n",
+           "tests/test_service.py::test_a_frozen_replay_takes_nothing_until_finish_replay"),
+    Mutant("reporting the freeze lets a poll through", "src/migsim/service.py",
+           "            on_frozen()\n"
+           "            return True\n",
+           "            on_frozen()\n"
+           "            return False\n",
+           "tests/test_service.py::test_a_frozen_replay_takes_nothing_until_finish_replay"),
     Mutant("a wake that finds nothing reports idle", "src/migsim/service.py",
            "        if msg is None:\n"
            "            # a wake for what the instance already took",
@@ -183,9 +197,10 @@ MUTANTS = [
            "",
            "tests/test_golden.py::test_fault_grid_matches_golden"),
     Mutant("handoff branch dropped from _complete", "src/migsim/service.py",
-           "        elif self._handoff is not None:\n"
-           "            self._try_next()\n",
-           "",
+           "        if self._hold is not None:\n"
+           "            self._try_next()\n"
+           "        elif left:\n",
+           "        if left:\n",
            "tests/test_service.py::test_finish_replay_switches_to_main_at_watermark"),
     # -- migration ----------------------------------------------------------------
     Mutant("checkpoint span sized off its snapshot", "src/migsim/migration.py",
