@@ -218,6 +218,11 @@ def deserialize_state(blob: bytes) -> ServiceState:
     return ServiceState(data, last_id)
 
 
+# the last parse that succeeded on an exact bytes payload: (payload, is_add,
+# raw key, key, increment or value); one tuple, rebound whole
+_parsed: tuple = (None, False, b"", "", 0)
+
+
 def handle(state: ServiceState, msg: Message) -> bytes:
     """Apply one input message to state in place and return its one output
     payload. Deterministic: the same state and message always yield the same
@@ -231,44 +236,64 @@ def handle(state: ServiceState, msg: Message) -> bytes:
     A rejected message raises StaleMessage or UnknownCommand and leaves
     state unchanged: every check runs before the first write. Writing in
     place keeps the cost of a message independent of the state's size.
+
+    The parse depends on the payload's bytes alone, so the last one is kept:
+    a bytes payload equal to the previous parsed one reuses its op, key and
+    increment or value. Only a parse that succeeded on an exact bytes
+    payload is kept; a payload of another type or one that failed to parse
+    is parsed again every time. The checks on the state still run for each
+    message.
     """
+    global _parsed
     if msg.id <= state.last_processed_id:
         raise StaleMessage(
             f"id {msg.id} <= last processed {state.last_processed_id}")
     payload = msg.payload
-    # add is the hot op: its one split also yields the op
-    parts = payload.split(b" ", 3)
-    op = parts[0]
-    if op == b"add":
-        if len(parts) < 3 or not parts[1]:
-            raise UnknownCommand(f"malformed add: {payload[:40]!r}")
-        raw = parts[1]
-        try:
-            key = raw.decode("ascii")
-            delta = int(parts[2])
-        except UnicodeDecodeError:  # a ValueError too, so caught first
-            raise UnknownCommand(f"non-ASCII key: {raw[:40]!r}") from None
-        except ValueError:
-            raise UnknownCommand(f"bad increment: {parts[2]!r}") from None
+    parsed = _parsed
+    if payload == parsed[0] and type(payload) is bytes:
+        _, is_add, raw, key, arg = parsed
+    else:
+        # add is the hot op: its one split also yields the op
+        parts = payload.split(b" ", 3)
+        op = parts[0]
+        if op == b"add":
+            if len(parts) < 3 or not parts[1]:
+                raise UnknownCommand(f"malformed add: {payload[:40]!r}")
+            raw = parts[1]
+            try:
+                key = raw.decode("ascii")
+                arg = int(parts[2])
+            except UnicodeDecodeError:  # a ValueError too, so caught first
+                raise UnknownCommand(f"non-ASCII key: {raw[:40]!r}") from None
+            except ValueError:
+                raise UnknownCommand(f"bad increment: {parts[2]!r}") from None
+            is_add = True
+        elif op == b"set":
+            # the value may hold spaces, so it is everything after the key
+            parts = payload.split(b" ", 2)
+            if len(parts) != 3 or not parts[1]:
+                raise UnknownCommand(f"malformed set: {payload[:40]!r}")
+            raw = parts[1]
+            try:
+                key = raw.decode("ascii")
+            except UnicodeDecodeError:
+                raise UnknownCommand(f"non-ASCII key: {raw[:40]!r}") from None
+            arg = parts[2]
+            is_add = False
+        else:
+            raise UnknownCommand(f"unknown op {op!r}")
+        # a bytearray could change after this call, so only bytes are kept
+        if type(payload) is bytes:
+            _parsed = (payload, is_add, raw, key, arg)
+    if is_add:
         old = state.data.get(key, 0)
         if not isinstance(old, int):
             raise UnknownCommand(f"key {key!r} is not a counter")
-        value = old + delta
+        value = old + arg
         output = b"ok %d %s=%d" % (msg.id, raw, value)
-    elif op == b"set":
-        # the value may hold spaces, so it is everything after the key
-        parts = payload.split(b" ", 2)
-        if len(parts) != 3 or not parts[1]:
-            raise UnknownCommand(f"malformed set: {payload[:40]!r}")
-        raw = parts[1]
-        try:
-            key = raw.decode("ascii")
-        except UnicodeDecodeError:
-            raise UnknownCommand(f"non-ASCII key: {raw[:40]!r}") from None
-        value = parts[2]
-        output = b"ok %d set %s" % (msg.id, raw)
     else:
-        raise UnknownCommand(f"unknown op {op!r}")
+        value = arg
+        output = b"ok %d set %s" % (msg.id, raw)
     state.data[key] = value
     state.last_processed_id = msg.id
     return output

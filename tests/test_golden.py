@@ -5,7 +5,7 @@ test_acceptance_6 only checks that two runs agree with each other, so a change
 that moved every number the same way would still pass it. The values below
 are fixed. Besides the shipped scenarios and a fault grid, the cells pinned
 are the first ten seeds of test_acceptance_2, with its triggers, and two
-handoff cells that reach the handoff's deferred paths.
+handoff cells whose freeze, stop and watermark switch each wait in a hold.
 
 Contract tier: SHA-256 digests of the shipped scenarios' reports and, per
 cell, of its outputs, final state, MigrationRecord fields, mode transitions
@@ -200,9 +200,9 @@ ACCEPTANCE2_DIGESTS = [
     "ec5db5350294bcd1ebcc35be0b852ae876a0588a9fa095871a08a46a6523cc82",
 ]
 
-# no other cell reaches these: the target is busy at freeze, the source is
-# busy at stop_request, and the target is behind the watermark when it
-# finishes the replay (test_handoff_cells_reach_the_deferred_paths)
+# no other cell sets all three holds: the target is busy at freeze, the
+# source is busy at stop_request, and the target is behind the watermark
+# when it finishes the replay (test_handoff_cells_wait_in_every_hold)
 HANDOFF_DIGESTS = [
     "5b34bfdc2f984761de6379a04bb6f11d0f043d233d079dd488fceb43933ee934",
     "8ac3bc51510c431f7e3835916b868c442b0901200094776d897fcb0322b10e02",
@@ -410,9 +410,10 @@ def test_handoff_cells_match_golden():
     assert mismatched == []
 
 
-def test_handoff_cells_reach_the_deferred_paths(monkeypatch):
+def test_handoff_cells_wait_in_every_hold(monkeypatch):
     """Each handoff cell freezes a busy target, asks a busy source to stop
-    and finishes a replay that is behind the watermark."""
+    and finishes a replay that is behind the watermark, so each of the three
+    holds waits before it fires."""
     seen = []
 
     def spy(name, waits):

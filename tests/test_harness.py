@@ -1,7 +1,10 @@
 import copy
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -622,6 +625,20 @@ def test_cli_validate(tmp_path, capsys):
                                 "phase": {"name": "MessageReplay"}})
     assert main(["validate", str(_write_scenario(tmp_path, doc))]) == 1
     assert "fault.phase: must be a phase name" in capsys.readouterr().err
+
+
+def test_python_dash_m_migsim_runs_the_command_line(tmp_path):
+    # the exit code passes through: 0 for a valid scenario, 1 for a bad one
+    root = SCENARIO_DIR.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    broken = _write_scenario(tmp_path, _doc(hosts=[]))
+    for scenario, code in ((SCENARIO_DIR / "calibrated.json", 0),
+                           (broken, 1)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "migsim", "validate", str(scenario)],
+            cwd=root, env=env, capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+    assert "hosts:" in proc.stderr
 
 
 def test_cli_validate_refuses_a_region_that_is_not_a_string(tmp_path,

@@ -388,6 +388,156 @@ def test_handle_reexecution_is_deterministic(ops):
     assert run() == run()
 
 
+def _reference_handle(state: ServiceState, msg: Message) -> bytes:
+    """handle's documented commands, written out independently of it and
+    parsing every payload afresh."""
+    if msg.id <= state.last_processed_id:
+        raise StaleMessage(msg.id)
+    words = msg.payload.split(b" ", 2)
+    if len(words) != 3 or not words[1] or not words[1].isascii():
+        raise UnknownCommand(msg.payload)
+    op, raw, rest = words
+    key = raw.decode("ascii")
+    if op == b"set":
+        value = rest
+        output = b"ok %d set %s" % (msg.id, raw)
+    elif op == b"add":
+        old = state.data.get(key, 0)
+        try:
+            delta = int(rest.split(b" ", 1)[0])
+        except ValueError:
+            raise UnknownCommand(msg.payload) from None
+        if not isinstance(old, int):
+            raise UnknownCommand(msg.payload)
+        value = old + delta
+        output = b"ok %d %s=%d" % (msg.id, raw, value)
+    else:
+        raise UnknownCommand(msg.payload)
+    state.data[key] = value
+    state.last_processed_id = msg.id
+    return output
+
+
+def _outcome(fn, state, msg):
+    try:
+        return fn(state, msg)
+    except (StaleMessage, UnknownCommand) as err:
+        return type(err)
+
+
+class _Twin:
+    """handle and the reference fed the same messages, each on its own
+    state; every step must give the same output or refusal and leave equal
+    states, values of the same type included."""
+
+    def __init__(self, data=None, last=0):
+        self.state = ServiceState(dict(data or {}), last)
+        self.ref = ServiceState(dict(data or {}), last)
+
+    def step(self, mid, payload):
+        got = _outcome(handle, self.state, _msg(mid, payload))
+        assert got == _outcome(_reference_handle, self.ref, _msg(mid, payload))
+        assert self.state == self.ref
+        assert ([type(v) for v in self.state.data.values()]
+                == [type(v) for v in self.ref.data.values()])
+        return got
+
+
+def test_a_repeated_payload_is_handled_like_a_fresh_one():
+    pad = b"x" * 116
+    one = b"add score 7 " + pad
+    twin = _Twin()
+    # the same object, then equal objects that are not it
+    for mid in range(1, 4):
+        assert twin.step(mid, one) == b"ok %d score=%d" % (mid, 7 * mid)
+    for mid in range(4, 7):
+        equal = bytes(bytearray(one))
+        assert equal == one and equal is not one
+        twin.step(mid, equal)
+    assert twin.state.data == {"score": 42}
+    # payloads that share a key, or differ only past it, are not one parse
+    for mid, payload in enumerate(
+            [b"add score -2 " + pad, b"add score 7", b"set name a b",
+             b"set name a b", b"set name a  b", b"add hits 7 " + pad,
+             b"add hits 7 " + pad, one], start=7):
+        twin.step(mid, payload)
+    assert twin.state.data == {"score": 54, "name": b"a  b", "hits": 14}
+
+
+def test_a_malformed_payload_fails_alike_every_time():
+    twin = _Twin({"k": 1}, 1)
+    mid = 1
+    for payload in (b"add k x1", b"add k", b"set k", b"frob k 1",
+                    b"add \xff 1", b"add k 1.5"):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(UnknownCommand) as err:
+                handle(twin.state, _msg(mid + 1, payload))
+            texts.append(str(err.value))
+        assert texts[0] == texts[1], payload
+        assert twin.state == twin.ref
+        # a good parse in between leaves the refusal as it was
+        mid += 1
+        twin.step(mid, b"add k 1")
+        assert twin.step(mid + 1, payload) is UnknownCommand
+
+
+def test_the_counter_check_runs_on_a_reused_parse():
+    twin = _Twin()
+    twin.step(1, b"set k v")
+    # the first add keeps its parse, the second reuses it: both refused
+    assert twin.step(2, b"add k 1") is UnknownCommand
+    with pytest.raises(UnknownCommand, match="^key 'k' is not a counter$"):
+        handle(twin.state, _msg(2, b"add k 1"))
+    assert twin.state.data == {"k": b"v"}
+    # the same parse applies to a state where k is a counter
+    other = _Twin({"k": 4}, 1)
+    assert other.step(2, b"add k 1") == b"ok 2 k=5"
+
+
+def test_a_bytearray_payload_is_never_kept():
+    twin = _Twin()
+    buf = bytearray(b"add k 1")
+    assert twin.step(1, buf) == b"ok 1 k=1"
+    # the buffer changes after its call: neither its new nor its old content
+    # may meet a parse of what it held then
+    buf[-1:] = b"5"
+    assert twin.step(2, b"add k 5") == b"ok 2 k=6"
+    assert twin.step(3, bytes(buf)) == b"ok 3 k=11"
+    assert twin.step(4, b"add k 1") == b"ok 4 k=12"
+    # equal to the kept parse's payload, but a bytearray: its value is a
+    # slice of it, as a fresh parse makes
+    twin.step(5, b"set v a")
+    twin.step(6, bytearray(b"set v a"))
+    assert type(twin.state.data["v"]) is bytearray
+
+
+def test_a_stale_id_on_a_reused_parse_changes_nothing():
+    twin = _Twin()
+    payload = b"add n 2"
+    twin.step(5, payload)
+    before = serialize_state(twin.state)
+    for mid in (5, 4, 1):
+        assert twin.step(mid, payload) is StaleMessage
+        assert serialize_state(twin.state) == before
+    assert twin.step(6, payload) == b"ok 6 n=4"
+
+
+_POOL = [b"add a 1", b"add a -3 pad", b"add b 2", b"set a x", b"set b y z",
+         b"add a x", b"set c", b"add \xff 1", b"mul a 2"]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_POOL), st.booleans(),
+                          st.integers(min_value=-1, max_value=2)),
+                max_size=30))
+def test_handle_agrees_with_a_fresh_parse_of_every_payload(steps):
+    twin = _Twin()
+    mid = 0
+    for payload, as_bytearray, gap in steps:
+        mid += gap  # a gap below 1 repeats or goes back: a stale id
+        twin.step(mid, bytearray(payload) if as_bytearray else payload)
+
+
 # -- instance runtime ----------------------------------------------------------
 
 

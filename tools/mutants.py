@@ -91,6 +91,27 @@ MUTANTS = [
            "    if msg.id <= state.last_processed_id:\n",
            "    if msg.id < state.last_processed_id:\n",
            "tests/test_service.py::test_handle_stale_rejected_without_change"),
+    Mutant("a failed parse is stored", "src/migsim/service.py",
+           "            except ValueError:\n"
+           "                raise UnknownCommand(f\"bad increment: {parts[2]!r}\") from None\n",
+           "            except ValueError:\n"
+           "                _parsed = (payload, True, raw, key, 0)\n"
+           "                raise UnknownCommand(f\"bad increment: {parts[2]!r}\") from None\n",
+           "tests/test_service.py::test_a_malformed_payload_fails_alike_every_time"),
+    Mutant("a bytearray is stored", "src/migsim/service.py",
+           "        if type(payload) is bytes:\n"
+           "            _parsed = (payload, is_add, raw, key, arg)\n",
+           "        if True:\n"
+           "            _parsed = (payload, is_add, raw, key, arg)\n",
+           "tests/test_service.py::test_a_bytearray_payload_is_never_kept"),
+    Mutant("a bytearray reuses a bytes payload's parse", "src/migsim/service.py",
+           "    if payload == parsed[0] and type(payload) is bytes:\n",
+           "    if payload == parsed[0]:\n",
+           "tests/test_service.py::test_a_bytearray_payload_is_never_kept"),
+    Mutant("the counter check is skipped on a hit", "src/migsim/service.py",
+           "        if not isinstance(old, int):\n",
+           "        if not isinstance(old, int) and payload != parsed[0]:\n",
+           "tests/test_service.py::test_the_counter_check_runs_on_a_reused_parse"),
     Mutant("an int value of the wrong length is decoded",
            "src/migsim/service.py",
            "        if len(body) != 8:\n"
