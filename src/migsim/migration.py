@@ -142,10 +142,11 @@ class Decision(enum.Enum):
 class HandoffPolicy:
     """When to hand off, keep waiting, or give up during message replay.
 
-    replay_timeout_ms of None disables the timeout. Divergence is declared
-    after divergence_window consecutive checks (spaced check_interval_ms
-    apart) in which the arrival rate estimate exceeded the processing rate
-    estimate.
+    The backlog is the secondary queue's length: what was mirrored and not
+    yet replayed. replay_timeout_ms of None disables the timeout. Divergence
+    is declared after divergence_window consecutive checks (spaced
+    check_interval_ms apart) at which the backlog had grown since the check
+    before.
     """
 
     handoff_threshold: int = param(0, minimum=0, integer=True)
@@ -163,10 +164,10 @@ def decide_handoff(backlog: int, elapsed_replay_ms: float,
     and at every periodic check.
 
     overload_streak is the caller-maintained count of consecutive checks,
-    including the current one, whose arrival rate estimate exceeded the
-    processing rate estimate. Precedence: a drained backlog always wins
-    (HANDOFF), then the replay timeout (TIMEOUT), then sustained divergence
-    (OVERLOAD); otherwise CONTINUE.
+    including the current one, at which the backlog had grown since the
+    check before. Precedence: a drained backlog always wins (HANDOFF), then
+    the replay timeout (TIMEOUT), then sustained divergence (OVERLOAD);
+    otherwise CONTINUE.
     """
     if backlog <= policy.handoff_threshold:
         return Decision.HANDOFF
@@ -273,7 +274,7 @@ class MigrationManager:
         self._current_phase: tuple[Phase, float] | None = None
         self._replay_started_at = 0.0
         self._streak = 0
-        self._prev_counts = (0, 0)
+        self._backlog = 0  # the secondary's length at the last check
         self._monitor_event = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -324,12 +325,9 @@ class MigrationManager:
         """The single exit: tear down, close and check the phase timeline,
         record the outcome, and on Completed start timing the drain."""
         rec = self.record
+        if self._monitor_event is not None:
+            self.clock.cancel(self._monitor_event)
         if outcome is Outcome.ABORTED_SOURCE_CRASH:
-            # only a crash cancels a pending replay check; after a handoff or
-            # divergence decision it fires and is dropped as stale, and the
-            # golden event counts include that firing
-            if self._monitor_event is not None:
-                self.clock.cancel(self._monitor_event)
             published = self.broker.queue(MAIN_QUEUE).published_total
             last = self.source.state.last_processed_id
             rec.crash_info = {
@@ -497,29 +495,21 @@ class MigrationManager:
 
     def _begin_replay(self) -> None:
         self._replay_started_at = self.clock.now
-        sec = self.broker.queue(self.secondary_queue)
-        self._prev_counts = (sec.published_total,
-                             self.target_instance.replayed_count)
+        self._backlog = len(self.broker.queue(self.secondary_queue))
         self._streak = 0
-        self._monitor_event = self.clock.schedule(
-            self.params.policy.check_interval_ms, self._check_due)
-
-    def _check_due(self) -> None:
-        # a fired check is dropped at once: its callback holds the manager
-        self._monitor_event = None
-        self._on_event("check_due")
+        self._monitor_event = self._after(
+            self.params.policy.check_interval_ms, "check_due")
 
     def _periodic_check(self) -> State:
-        sec = self.broker.queue(self.secondary_queue)
-        pub, rep = sec.published_total, self.target_instance.replayed_count
-        dt = self.params.policy.check_interval_ms
-        arrival = (pub - self._prev_counts[0]) / dt * 1000.0
-        processing = (rep - self._prev_counts[1]) / dt * 1000.0
-        self._prev_counts = (pub, rep)
-        self._streak = self._streak + 1 if arrival > processing else 0
+        # the backlog is what was mirrored and not yet replayed, so it grew
+        # exactly when arrivals outpaced replay since the last check
+        backlog = len(self.broker.queue(self.secondary_queue))
+        self._streak = self._streak + 1 if backlog > self._backlog else 0
+        self._backlog = backlog
         picked = self._decide()
         if picked is State.REPLAY:
-            self._monitor_event = self.clock.schedule(dt, self._check_due)
+            self._monitor_event = self._after(
+                self.params.policy.check_interval_ms, "check_due")
         return picked
 
     def _decide(self) -> State:
@@ -527,11 +517,13 @@ class MigrationManager:
         elapsed = self.clock.now - self._replay_started_at
         decision = decide_handoff(backlog, elapsed, self.params.policy,
                                   self._streak)
+        if decision is Decision.CONTINUE:
+            return State.REPLAY
+        # leaving replay: the pending check would only fire as stale
+        self.clock.cancel(self._monitor_event)
         if decision is Decision.HANDOFF:
             self._send(self.q_tgt, "freeze")
             return State.FREEZE
-        if decision is Decision.CONTINUE:
-            return State.REPLAY
         self.record.abort_reason = decision.value
         self._send(self.q_tgt, "discard")
         return State.ABORT

@@ -237,11 +237,12 @@ def handle(state: ServiceState, msg: Message) -> bytes:
     state unchanged: every check runs before the first write. Writing in
     place keeps the cost of a message independent of the state's size.
 
-    The parse depends on the payload's bytes alone, so the last one is kept:
-    a bytes payload equal to the previous parsed one reuses its op, key and
-    increment or value. Only a parse that succeeded on an exact bytes
-    payload is kept; a payload of another type or one that failed to parse
-    is parsed again every time. The checks on the state still run for each
+    A payload is handled as its bytes: one of another type, such as a
+    bytearray, is copied to bytes first, so a set never keeps a value that
+    could change after the call. The parse depends on those bytes alone, so
+    the last one is kept: a payload equal to the previous parsed one reuses
+    its op, key and increment or value. A payload that failed to parse is
+    parsed again every time. The checks on the state still run for each
     message.
     """
     global _parsed
@@ -250,9 +251,11 @@ def handle(state: ServiceState, msg: Message) -> bytes:
             f"id {msg.id} <= last processed {state.last_processed_id}")
     payload = msg.payload
     parsed = _parsed
-    if payload == parsed[0] and type(payload) is bytes:
+    if payload == parsed[0]:
         _, is_add, raw, key, arg = parsed
     else:
+        if type(payload) is not bytes:
+            payload = bytes(payload)
         # add is the hot op: its one split also yields the op
         parts = payload.split(b" ", 3)
         op = parts[0]
@@ -282,9 +285,7 @@ def handle(state: ServiceState, msg: Message) -> bytes:
             is_add = False
         else:
             raise UnknownCommand(f"unknown op {op!r}")
-        # a bytearray could change after this call, so only bytes are kept
-        if type(payload) is bytes:
-            _parsed = (payload, is_add, raw, key, arg)
+        _parsed = (payload, is_add, raw, key, arg)
     if is_add:
         old = state.data.get(key, 0)
         if not isinstance(old, int):

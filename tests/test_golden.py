@@ -210,8 +210,8 @@ HANDOFF_DIGESTS = [
 
 EVENTS = {
     "grid": [
-        769, 406, 770, 422, 422, 423, 423, 424, 424, 427,
-        429, 433, 435, 437, 538, 770, 679, 373, 504, 384,
+        768, 406, 769, 422, 422, 423, 423, 424, 424, 427,
+        429, 433, 435, 437, 538, 769, 679, 373, 504, 384,
         384, 385, 385, 386, 386, 389, 390, 393, 394, 396,
         444, 760, 373, 658, 384, 384, 385, 385, 386, 386,
         389, 390, 394, 395, 396, 522, 735, 405, 597, 421,
@@ -224,8 +224,8 @@ EVENTS = {
         653,
     ],
     "acceptance2": [
-        1430, 1419, 1486, 1472, 1474, 1459, 1540, 1528, 1371, 1361,
-        1481, 1470, 1450, 1434, 1567, 1556, 1432, 1420, 1508, 1495,
+        1429, 1419, 1485, 1472, 1473, 1459, 1539, 1528, 1370, 1361,
+        1480, 1470, 1449, 1434, 1566, 1556, 1431, 1420, 1507, 1495,
     ],
     "handoff": [
         671, 719,

@@ -895,3 +895,78 @@ def test_dispatch_trace_walks_the_declared_graph(technique, latency,
     res, trace = _traced_run(params)
     _assert_walk(trace, GRAPHS[technique])
     assert res.record.outcome is not None
+
+
+# -- the replay monitor -----------------------------------------------------------
+
+
+def _monitor_run(params):
+    """Run a cell with a spy on MigrationManager._on_event. Returns the
+    record and, for every dispatch, (state before, event, state after,
+    time, len(secondary), secondary.published_total, target.replayed_count),
+    the last three read before a dispatch in REPLAY and None otherwise."""
+    seen = []
+    real_on_event = MigrationManager._on_event
+
+    def on_event(self, event):
+        before = self.state
+        counts = (None, None, None)
+        if before is State.REPLAY:
+            sec = self.broker.queue(self.secondary_queue)
+            counts = (len(sec), sec.published_total,
+                      self.target_instance.replayed_count)
+        real_on_event(self, event)
+        seen.append((before, event, self.state, self.clock.now, *counts))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MigrationManager, "_on_event", on_event)
+        res = _run(params)
+    return res.record, seen
+
+
+def _decisions(seen):
+    return [row for row in seen if row[0] is State.REPLAY
+            and row[1] in ("check_due", "replay_idle")]
+
+
+def test_the_backlog_is_what_was_mirrored_and_not_yet_replayed():
+    # the monitor reads len(secondary) as the lag arrivals - replays
+    cells = [_mk(), _mk(delivery_latency_ms=0.7), _mk(**OVERLOAD),
+             _mk(delivery_latency_ms=0.7, **OVERLOAD),
+             _mk(processing=9.0, delivery_latency_ms=0.7,
+                 policy=HandoffPolicy(check_interval_ms=7.5))]
+    outcomes, backlogs = set(), []
+    for params in cells:
+        rec, seen = _monitor_run(params)
+        outcomes.add(rec.outcome)
+        for *_, backlog, published, replayed in _decisions(seen):
+            assert backlog == published - replayed
+            backlogs.append(backlog)
+    assert outcomes == {Outcome.COMPLETED, Outcome.ABORTED_DIVERGENCE}
+    assert max(backlogs) > 0
+
+
+def test_no_check_fires_after_the_monitor_hands_off():
+    params = _mk(delivery_latency_ms=0.7,
+                 policy=HandoffPolicy(check_interval_ms=28.0))
+    rec, seen = _monitor_run(params)
+    assert rec.outcome is Outcome.COMPLETED
+    restored = next(t for _b, event, _a, t, *_ in seen if event == "restored")
+    # replay drains before the first check, which comes due mid-handoff
+    [handoff] = _decisions(seen)
+    assert handoff[1:3] == ("replay_idle", State.FREEZE)
+    assert handoff[3] < restored + 28.0 < rec.completed_at
+    assert [row for row in seen if row[1] == "check_due"] == []
+
+
+def test_a_backlog_that_holds_is_not_divergence():
+    # arrivals every 10 ms, replay at 10 ms a message: the backlog left by
+    # the checkpoint holds at every check until the stream ends
+    params = _mk(processing=10.0, duration=3000.0,
+                 policy=HandoffPolicy(replay_timeout_ms=None,
+                                      divergence_window=2))
+    rec, seen = _monitor_run(params)
+    checks = [row[4] for row in _decisions(seen) if row[1] == "check_due"]
+    assert len(checks) > 2 * params.policy.divergence_window
+    assert min(checks) > params.policy.handoff_threshold
+    assert rec.outcome is Outcome.COMPLETED

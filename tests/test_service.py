@@ -390,7 +390,7 @@ def test_handle_reexecution_is_deterministic(ops):
 
 def _reference_handle(state: ServiceState, msg: Message) -> bytes:
     """handle's documented commands, written out independently of it and
-    parsing every payload afresh."""
+    parsing every payload afresh. A set keeps its value as bytes."""
     if msg.id <= state.last_processed_id:
         raise StaleMessage(msg.id)
     words = msg.payload.split(b" ", 2)
@@ -399,7 +399,7 @@ def _reference_handle(state: ServiceState, msg: Message) -> bytes:
     op, raw, rest = words
     key = raw.decode("ascii")
     if op == b"set":
-        value = rest
+        value = bytes(rest)
         output = b"ok %d set %s" % (msg.id, raw)
     elif op == b"add":
         old = state.data.get(key, 0)
@@ -505,11 +505,22 @@ def test_a_bytearray_payload_is_never_kept():
     assert twin.step(2, b"add k 5") == b"ok 2 k=6"
     assert twin.step(3, bytes(buf)) == b"ok 3 k=11"
     assert twin.step(4, b"add k 1") == b"ok 4 k=12"
-    # equal to the kept parse's payload, but a bytearray: its value is a
-    # slice of it, as a fresh parse makes
+    # equal to the kept parse's payload, but a bytearray: its value is
+    # bytes, as a fresh parse makes
     twin.step(5, b"set v a")
     twin.step(6, bytearray(b"set v a"))
-    assert type(twin.state.data["v"]) is bytearray
+    assert type(twin.state.data["v"]) is bytes
+
+
+def test_a_set_from_a_bytearray_can_be_checkpointed():
+    state = ServiceState()
+    # another payload first, so the bytearray meets no kept parse
+    handle(state, _msg(1, b"add n 1"))
+    buf = bytearray(b"set v a")
+    handle(state, _msg(2, buf))
+    buf[-1:] = b"b"
+    assert state.data == {"n": 1, "v": b"a"}
+    assert deserialize_state(serialize_state(state)) == state
 
 
 def test_a_stale_id_on_a_reused_parse_changes_nothing():

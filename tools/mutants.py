@@ -98,16 +98,11 @@ MUTANTS = [
            "                _parsed = (payload, True, raw, key, 0)\n"
            "                raise UnknownCommand(f\"bad increment: {parts[2]!r}\") from None\n",
            "tests/test_service.py::test_a_malformed_payload_fails_alike_every_time"),
-    Mutant("a bytearray is stored", "src/migsim/service.py",
-           "        if type(payload) is bytes:\n"
-           "            _parsed = (payload, is_add, raw, key, arg)\n",
-           "        if True:\n"
-           "            _parsed = (payload, is_add, raw, key, arg)\n",
-           "tests/test_service.py::test_a_bytearray_payload_is_never_kept"),
-    Mutant("a bytearray reuses a bytes payload's parse", "src/migsim/service.py",
-           "    if payload == parsed[0] and type(payload) is bytes:\n",
-           "    if payload == parsed[0]:\n",
-           "tests/test_service.py::test_a_bytearray_payload_is_never_kept"),
+    Mutant("a bytearray payload is parsed unconverted", "src/migsim/service.py",
+           "        if type(payload) is not bytes:\n"
+           "            payload = bytes(payload)\n",
+           "",
+           "tests/test_service.py::test_a_set_from_a_bytearray_can_be_checkpointed"),
     Mutant("the counter check is skipped on a hit", "src/migsim/service.py",
            "        if not isinstance(old, int):\n",
            "        if not isinstance(old, int) and payload != parsed[0]:\n",
@@ -254,11 +249,20 @@ MUTANTS = [
            "        if self.state not in (State.IDLE, State.DONE):\n",
            "tests/test_migration.py::test_stop_and_copy_crash_after_transfer_still_completes"),
     Mutant("crash keeps the monitor event", "src/migsim/migration.py",
-           "            if self._monitor_event is not None:\n"
-           "                self.clock.cancel(self._monitor_event)\n",
-           "            if False:\n"
-           "                self.clock.cancel(self._monitor_event)\n",
+           "        if self._monitor_event is not None:\n"
+           "            self.clock.cancel(self._monitor_event)\n",
+           "        if False:\n"
+           "            self.clock.cancel(self._monitor_event)\n",
            "tests/test_golden.py::test_event_counts_match_golden"),
+    Mutant("a decision keeps its pending check", "src/migsim/migration.py",
+           "        self.clock.cancel(self._monitor_event)\n"
+           "        if decision is Decision.HANDOFF:\n",
+           "        if decision is Decision.HANDOFF:\n",
+           "tests/test_migration.py::test_no_check_fires_after_the_monitor_hands_off"),
+    Mutant("a backlog that held grows the streak", "src/migsim/migration.py",
+           "if backlog > self._backlog else 0\n",
+           "if backlog >= self._backlog else 0\n",
+           "tests/test_migration.py::test_a_backlog_that_holds_is_not_divergence"),
     Mutant("mirror starts at checkpoint_last_id + 2", "src/migsim/migration.py",
            "                                 self.source.state.last_processed_id + 1)\n",
            "                                 self.source.state.last_processed_id + 2)\n",
