@@ -233,17 +233,20 @@ class MigrationManager:
 
     Every step is an event: either a control message, whose payload is the
     bare event name, delivered on one of three per-migration broker queues
-    (q_mgr, q_src, q_tgt), or a phase timer firing. The protocol is a
-    declared graph per technique, _MS2M or _STOP_AND_COPY, picked once when
-    the manager is built; README.md shows both as tables. _on_event looks
-    the pair (state, event) up in it, runs the step the row names and moves
-    to the row's next state, or, for the replay monitor's choice, to the
-    declared state the step returned; any other return is a ProtocolError.
-    An event the graph knows, arriving in a state that has no row for it, is
-    stale (an abort or an earlier step overtook it) and is dropped; an event
-    the graph does not know is a ProtocolError. Every outcome leaves through
-    _finish, which tears down, closes and checks the phase timeline, and
-    records the outcome.
+    (q_mgr, q_src, q_tgt), or a phase timer firing. The protocol is strictly
+    ordered, so at most one timer is pending, _timer: _after arms it and its
+    firing clears it. The protocol is a declared graph per technique, _MS2M
+    or _STOP_AND_COPY, picked once when the manager is built; README.md
+    shows both as tables. _on_event looks the pair (state, event) up in it,
+    runs the step the row names and moves to the row's next state, or, for
+    the replay monitor's choice, to the declared state the step returned;
+    any other return is a ProtocolError. An event the graph knows, arriving
+    in a state that has no row for it, is stale (an abort or an earlier step
+    overtook it) and is dropped; only a control message can be, because
+    leaving replay (_decide) and leaving the protocol cancel the pending
+    timer. An event the graph does not know is a ProtocolError. Every
+    outcome leaves through _finish, which cancels the pending timer, tears
+    down, closes and checks the phase timeline, and records the outcome.
 
     Around the protocol, the manager kills the source (crash_source, which
     aborts the migration in any state before HANDOFF), schedules a fault on
@@ -272,10 +275,7 @@ class MigrationManager:
         self.secondary_queue: str | None = None
         self.target_instance: ServiceInstance | None = None
         self._current_phase: tuple[Phase, float] | None = None
-        self._replay_started_at = 0.0
-        self._streak = 0
-        self._backlog = 0  # the secondary's length at the last check
-        self._monitor_event = None
+        self._timer = None  # the one pending timer's clock entry, if any
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -325,8 +325,7 @@ class MigrationManager:
         """The single exit: tear down, close and check the phase timeline,
         record the outcome, and on Completed start timing the drain."""
         rec = self.record
-        if self._monitor_event is not None:
-            self.clock.cancel(self._monitor_event)
+        self._cancel_timer()
         if outcome is Outcome.ABORTED_SOURCE_CRASH:
             published = self.broker.queue(MAIN_QUEUE).published_total
             last = self.source.state.last_processed_id
@@ -351,8 +350,8 @@ class MigrationManager:
         self.state = State.DONE
         if outcome is Outcome.COMPLETED:
             target.on_idle = self._drain_check
-            if not target.busy:
-                self._drain_check()
+            # a busy target's message is still in the main queue: not drained
+            self._drain_check()
 
     def _drain_check(self) -> None:
         rec = self.record
@@ -366,8 +365,16 @@ class MigrationManager:
     def _send(self, queue: str, event: str) -> None:
         self.broker.publish(queue, event.encode("ascii"))
 
-    def _after(self, delay_ms: float, event: str):
-        return self.clock.schedule(delay_ms, lambda: self._on_event(event))
+    def _after(self, delay_ms: float, event: str) -> None:
+        def fire():
+            self._timer = None
+            self._on_event(event)
+        self._timer = self.clock.schedule(delay_ms, fire)
+
+    def _cancel_timer(self) -> None:
+        if self._timer is not None:
+            self.clock.cancel(self._timer)
+            self._timer = None
 
     def _on_event(self, event: str) -> None:
         row = self._graph.get((self.state, event))
@@ -497,8 +504,7 @@ class MigrationManager:
         self._replay_started_at = self.clock.now
         self._backlog = len(self.broker.queue(self.secondary_queue))
         self._streak = 0
-        self._monitor_event = self._after(
-            self.params.policy.check_interval_ms, "check_due")
+        self._after(self.params.policy.check_interval_ms, "check_due")
 
     def _periodic_check(self) -> State:
         # the backlog is what was mirrored and not yet replayed, so it grew
@@ -508,8 +514,7 @@ class MigrationManager:
         self._backlog = backlog
         picked = self._decide()
         if picked is State.REPLAY:
-            self._monitor_event = self._after(
-                self.params.policy.check_interval_ms, "check_due")
+            self._after(self.params.policy.check_interval_ms, "check_due")
         return picked
 
     def _decide(self) -> State:
@@ -519,8 +524,8 @@ class MigrationManager:
                                   self._streak)
         if decision is Decision.CONTINUE:
             return State.REPLAY
-        # leaving replay: the pending check would only fire as stale
-        self.clock.cancel(self._monitor_event)
+        # leaving replay: a pending check would only fire as stale
+        self._cancel_timer()
         if decision is Decision.HANDOFF:
             self._send(self.q_tgt, "freeze")
             return State.FREEZE

@@ -210,17 +210,17 @@ HANDOFF_DIGESTS = [
 
 EVENTS = {
     "grid": [
-        768, 406, 769, 422, 422, 423, 423, 424, 424, 427,
-        429, 433, 435, 437, 538, 769, 679, 373, 504, 384,
-        384, 385, 385, 386, 386, 389, 390, 393, 394, 396,
-        444, 760, 373, 658, 384, 384, 385, 385, 386, 386,
-        389, 390, 394, 395, 396, 522, 735, 405, 597, 421,
-        421, 422, 422, 423, 423, 426, 428, 432, 434, 436,
-        510, 654, 406, 655, 422, 422, 423, 423, 425, 425,
-        655, 655, 655, 626, 373, 627, 384, 384, 385, 385,
-        387, 387, 627, 627, 627, 626, 373, 627, 384, 384,
-        385, 385, 387, 387, 627, 627, 627, 627, 652, 405,
-        653, 421, 421, 422, 422, 424, 424, 653, 653, 653,
+        768, 406, 769, 421, 421, 422, 422, 423, 423, 426,
+        428, 432, 434, 437, 538, 769, 679, 373, 504, 383,
+        383, 384, 384, 385, 385, 388, 389, 392, 393, 396,
+        444, 760, 373, 658, 383, 383, 384, 384, 385, 385,
+        388, 389, 393, 394, 396, 522, 735, 405, 597, 420,
+        420, 421, 421, 422, 422, 425, 427, 431, 433, 436,
+        510, 654, 406, 655, 421, 421, 422, 422, 424, 424,
+        655, 655, 655, 626, 373, 627, 383, 383, 384, 384,
+        386, 386, 627, 627, 627, 626, 373, 627, 383, 383,
+        384, 384, 386, 386, 627, 627, 627, 627, 652, 405,
+        653, 420, 420, 421, 421, 423, 423, 653, 653, 653,
         653,
     ],
     "acceptance2": [

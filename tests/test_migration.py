@@ -16,7 +16,7 @@ from migsim.migration import (MAIN_QUEUE, OUTPUT_QUEUE, Decision,
 from migsim.service import (Mode, ProtocolError, ServiceInstance,
                             ServiceState, UnknownCommand)
 from migsim.sim import FaultSpec, SimParams, Simulation
-from migsim.simnet import Host, Link, SimError
+from migsim.simnet import Host, Link, SimClock, SimError
 from migsim.workload import WorkloadSpec, replay_stress_spec
 
 # -- handoff decision ----------------------------------------------------------
@@ -970,3 +970,74 @@ def test_a_backlog_that_holds_is_not_divergence():
     assert len(checks) > 2 * params.policy.divergence_window
     assert min(checks) > params.policy.handoff_threshold
     assert rec.outcome is Outcome.COMPLETED
+
+
+# -- the pending timer ------------------------------------------------------------
+
+
+def _timer_cells():
+    """A replay_idle handoff with a check pending, a divergence abort on a
+    check, a timeout, a mid-phase crash and a Completed StopAndCopy."""
+    return [_mk(delivery_latency_ms=0.7,
+                policy=HandoffPolicy(check_interval_ms=28.0)),
+            _mk(**OVERLOAD),
+            _mk(**OVERLOAD, policy=HandoffPolicy(
+                replay_timeout_ms=50.0, check_interval_ms=20.0,
+                divergence_window=10_000)),
+            _mk(fault=FaultSpec(phase=Phase.TRANSFER.value, offset_ms=0.5)),
+            _mk(technique=Technique.STOP_AND_COPY)]
+
+
+def test_no_timer_fires_after_the_migration_ends():
+    # a crash at a phase's first instant lands while the timer that phase
+    # armed is pending; the abort cancels it, so none arrives as stale
+    stale, outcomes = [], set()
+    for technique, graph in GRAPHS.items():
+        for phase in _phase_lengths(technique, 0.0, False):
+            rec, seen = _monitor_run(_mk(
+                technique=technique,
+                fault=FaultSpec(phase=phase, offset_ms=0.0)))
+            outcomes.add(rec.outcome)
+            stale += [(phase, before, event) for before, event, *_ in seen
+                      if (before, event) not in graph
+                      and (event.endswith("_elapsed") or event == "check_due")]
+    assert outcomes == {Outcome.ABORTED_SOURCE_CRASH, Outcome.COMPLETED}
+    assert stale == []
+
+
+def test_every_cancel_hits_a_live_entry():
+    # live: still on the heap with its callback, neither fired nor cancelled
+    live = []
+    real_cancel = SimClock.cancel
+
+    def cancel(clock, event):
+        live.append(event[2] is not None
+                    and any(entry is event for entry in clock._heap))
+        real_cancel(clock, event)
+
+    outcomes = set()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SimClock, "cancel", cancel)
+        for params in _timer_cells():
+            outcomes.add(_run(params).record.outcome)
+    assert outcomes == set(Outcome)
+    assert live and all(live)
+
+
+def test_the_manager_waits_on_at_most_one_timer():
+    pending = []
+    real_after = MigrationManager._after
+
+    def after(self, delay_ms, event):
+        pending.append((event, self._timer))
+        real_after(self, delay_ms, event)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MigrationManager, "_after", after)
+        for params in _timer_cells():
+            _run(params)
+    assert {event for event, _ in pending} >= {
+        "pause_elapsed", "transfer_elapsed", "check_due",
+        "activation_elapsed"}
+    assert [(event, timer) for event, timer in pending
+            if timer is not None] == []

@@ -248,17 +248,21 @@ MUTANTS = [
            "        if self.state not in (State.IDLE, State.HANDOFF, State.DONE):\n",
            "        if self.state not in (State.IDLE, State.DONE):\n",
            "tests/test_migration.py::test_stop_and_copy_crash_after_transfer_still_completes"),
-    Mutant("crash keeps the monitor event", "src/migsim/migration.py",
-           "        if self._monitor_event is not None:\n"
-           "            self.clock.cancel(self._monitor_event)\n",
-           "        if False:\n"
-           "            self.clock.cancel(self._monitor_event)\n",
-           "tests/test_golden.py::test_event_counts_match_golden"),
+    Mutant("exit keeps its pending timer", "src/migsim/migration.py",
+           "        self._cancel_timer()\n"
+           "        if outcome is Outcome.ABORTED_SOURCE_CRASH:\n",
+           "        if outcome is Outcome.ABORTED_SOURCE_CRASH:\n",
+           "tests/test_migration.py::test_no_timer_fires_after_the_migration_ends"),
     Mutant("a decision keeps its pending check", "src/migsim/migration.py",
-           "        self.clock.cancel(self._monitor_event)\n"
+           "        self._cancel_timer()\n"
            "        if decision is Decision.HANDOFF:\n",
            "        if decision is Decision.HANDOFF:\n",
            "tests/test_migration.py::test_no_check_fires_after_the_monitor_hands_off"),
+    Mutant("a fired timer stays pending", "src/migsim/migration.py",
+           "            self._timer = None\n"
+           "            self._on_event(event)\n",
+           "            self._on_event(event)\n",
+           "tests/test_migration.py::test_every_cancel_hits_a_live_entry"),
     Mutant("a backlog that held grows the streak", "src/migsim/migration.py",
            "if backlog > self._backlog else 0\n",
            "if backlog >= self._backlog else 0\n",
