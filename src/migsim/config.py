@@ -15,7 +15,7 @@ from pathlib import Path
 from .migration import HandoffPolicy, Technique
 from .rules import REQUIRED, Rule, param, problem, rules
 from .sim import FaultSpec, SimParams
-from .simnet import Host, Link, region_problem
+from .simnet import EVENT_BUDGET, Host, Link, region_problem
 from .workload import KINDS, WorkloadSpec
 
 SCHEMA_VERSION = 1
@@ -133,18 +133,12 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     if not isinstance(mig, dict):
         errors.append("migration: required object")
         mig = {}
-    source = mig.get("source")
-    target = mig.get("target")
-    for label, host_id in ("migration.source", source), ("migration.target", target):
-        if not isinstance(host_id, str) or not host_id:
-            errors.append(f"{label}: required host id")
-        elif hosts and host_id not in hosts:
-            errors.append(f"{label}: unknown host {host_id!r}")
+    source, target = mig.get("source"), mig.get("target")
+    known = [_host_ref(source, "migration.source", hosts, errors),
+             _host_ref(target, "migration.target", hosts, errors)]
     if source and target and source == target:
         errors.append("migration.target: must differ from migration.source")
-    if (isinstance(source, str) and isinstance(target, str) and links
-            and hosts and source in hosts and target in hosts
-            and not any(l.source == source and l.target == target for l in links)):
+    if all(known) and hosts and links and (source, target) not in links:
         errors.append(f"links: no link from {source!r} to {target!r}")
 
     timing = _fields(mig, _SCENARIO, errors, "migration",
@@ -156,7 +150,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
 
     if errors:
         raise ConfigError(errors)
-    link = next(l for l in links if l.source == source and l.target == target)
+    link = links[source, target]
     params = {}
     for tech in techniques:
         # per-technique overrides replace the shared cost constants, so the
@@ -173,9 +167,35 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             fault=fault,
             delivery_latency_ms=top["delivery_latency_ms"],
         )
+    # the bound needs every value valid, so it is checked after the rest
+    if Technique.MS2M in params:
+        checks = max_replay_checks(workload, params[Technique.MS2M])
+        if checks > EVENT_BUDGET:
+            raise ConfigError([
+                f"migration.check_interval_ms: replay may take up to "
+                f"{checks:.0f} monitor checks, over the event budget of "
+                f"{EVENT_BUDGET}; raise it or set replay_timeout_ms"])
     return ScenarioConfig(seed=top["seed"], trials=top["trials"],
                           workload=workload, workload_seed_fixed=seed_fixed,
                           params=params)
+
+
+def max_replay_checks(workload: WorkloadSpec, params: SimParams) -> float:
+    """The most replay-monitor checks an MS2M cell of params fed workload
+    can run. Replay ends at params.policy's replay_timeout_ms, or without
+    one once the backlog drains: at worst the last arrival, then every
+    message's processing_ms and delivery_latency_ms. A Poisson stream's
+    count is random, and its mean stands in for it. One check more sees
+    the drain or the timeout, and one more covers the rounding of the check
+    times."""
+    policy = params.policy
+    # + 1: a GameSession's settings message at t=0
+    messages = workload.arrival_rate * workload.duration_ms / 1000 + 1
+    span = (max(workload.duration_ms - params.trigger_ms, 0.0)
+            + messages * (params.processing_ms + params.delivery_latency_ms))
+    if policy.replay_timeout_ms is not None:
+        span = min(span, policy.replay_timeout_ms)
+    return span / policy.check_interval_ms + 2
 
 
 def _parse_workload(raw, errors) -> tuple[WorkloadSpec | None, bool]:
@@ -196,16 +216,35 @@ def _parse_workload(raw, errors) -> tuple[WorkloadSpec | None, bool]:
         return None, False
 
 
+def _objects(raw, name, errors):
+    """(where, item) for each object of raw, which must be a non-empty list;
+    where is the item's path, e.g. 'hosts[1]'."""
+    if not isinstance(raw, list) or not raw:
+        errors.append(f"{name}: must be a non-empty list")
+        return
+    for i, item in enumerate(raw):
+        where = f"{name}[{i}]"
+        if isinstance(item, dict):
+            yield where, item
+        else:
+            errors.append(f"{where}: must be an object")
+
+
+def _host_ref(host_id, label, hosts, errors) -> bool:
+    """Whether host_id names a host; an unknown one passes while hosts is
+    empty, whose own error is already recorded."""
+    if not isinstance(host_id, str) or not host_id:
+        errors.append(f"{label}: required host id")
+        return False
+    if hosts and host_id not in hosts:
+        errors.append(f"{label}: unknown host {host_id!r}")
+        return False
+    return True
+
+
 def _parse_hosts(raw, errors) -> dict[str, Host]:
     hosts: dict[str, Host] = {}
-    if not isinstance(raw, list) or not raw:
-        errors.append("hosts: must be a non-empty list")
-        return hosts
-    for i, item in enumerate(raw):
-        where = f"hosts[{i}]"
-        if not isinstance(item, dict):
-            errors.append(f"{where}: must be an object")
-            continue
+    for where, item in _objects(raw, "hosts", errors):
         host_id = item.get("id")
         if not isinstance(host_id, str) or not host_id:
             errors.append(f"{where}.id: required non-empty string")
@@ -224,36 +263,22 @@ def _parse_hosts(raw, errors) -> dict[str, Host]:
     return hosts
 
 
-def _parse_links(raw, hosts, errors) -> list[Link]:
-    links: list[Link] = []
-    if not isinstance(raw, list) or not raw:
-        errors.append("links: must be a non-empty list")
-        return links
-    seen = set()
-    for i, item in enumerate(raw):
-        where = f"links[{i}]"
-        if not isinstance(item, dict):
-            errors.append(f"{where}: must be an object")
-            continue
+def _parse_links(raw, hosts, errors) -> dict[tuple[str, str], Link]:
+    """The links keyed by their (source, target) host ids."""
+    links: dict[tuple[str, str], Link] = {}
+    for where, item in _objects(raw, "links", errors):
         src, dst = item.get("source"), item.get("target")
-        ok = True
-        for label, endpoint in (f"{where}.source", src), (f"{where}.target", dst):
-            if not isinstance(endpoint, str) or not endpoint:
-                errors.append(f"{label}: required host id")
-                ok = False
-            elif hosts and endpoint not in hosts:
-                errors.append(f"{label}: unknown host {endpoint!r}")
-                ok = False
+        known = [_host_ref(src, f"{where}.source", hosts, errors),
+                 _host_ref(dst, f"{where}.target", hosts, errors)]
         numbers = _fields(item, rules(Link), errors, where)
-        if not ok:
+        if not all(known):
             continue
-        if (src, dst) in seen:
+        if (src, dst) in links:
             errors.append(f"{where}: duplicate link {src!r} -> {dst!r}")
             continue
-        seen.add((src, dst))
         # as with hosts, a bad number keeps the link with a placeholder, so
         # the migration's link check adds no false error
-        links.append(Link(source=src, target=dst, **numbers))
+        links[src, dst] = Link(source=src, target=dst, **numbers)
     return links
 
 

@@ -19,9 +19,13 @@ span; inputs buffer in the main queue meanwhile, so nothing is rejected.
 A MigrationManager drives one migration as a single state machine over
 (state, event) pairs. An event is a phase timer firing or a control message
 on one of three per-migration broker queues, whose payload is the bare ASCII
-event name. A control message is delivered like any other, after the
-broker's delivery_latency_ms (zero by default), so every control hop adds
-that latency to the migration; handling it takes no further simulated time.
+event name. A control message is delivered like any other, by the broker's
+wake rule: a publish to a queue whose consumer is idle wakes it
+delivery_latency_ms (zero by default) later, and a message published while
+that wake is on its way rides it and arrives sooner. So a control hop adds
+at most that latency to the migration, not always all of it (ROADMAP.md
+item 15 would make every hop pay it in full); handling it takes no further
+simulated time.
 Each phase span starts where the previous one ended, so the spans tile the
 record exactly either way.
 """
@@ -185,8 +189,10 @@ def decide_handoff(backlog: int, elapsed_replay_ms: float,
 class ControlEndpoint:
     """Consumes one control queue, dispatching each message to a handler the
     instant it is delivered. A payload is a bare ASCII event name, and the
-    handler gets it decoded. Delivery waits the broker's delivery_latency_ms,
-    as on any queue; the handler itself costs no simulated time."""
+    handler gets it decoded. Delivery follows the broker's wake rule, as on
+    any queue: a message waits delivery_latency_ms, unless a wake to this
+    queue is already on its way, which it then rides and arrives with
+    sooner. The handler itself costs no simulated time."""
 
     def __init__(self, broker: Broker, queue: str, owner: str, handler):
         self.broker = broker

@@ -18,6 +18,9 @@ from .rules import check, param
 # bound once: schedule_at runs for every event
 _heappush = heapq.heappush
 _INF = math.inf
+# the most events one run_until call fires by default; validate refuses a
+# scenario whose replay monitor alone could exceed it
+EVENT_BUDGET = 10_000_000
 
 
 class SimError(Exception):
@@ -133,7 +136,7 @@ class SimClock:
         self._heap.clear()
         self._feed = self._feed_fn = self._arrival = None
 
-    def run_until(self, max_events: int = 10_000_000) -> float:
+    def run_until(self, max_events: int = EVENT_BUDGET) -> float:
         """Run events in order until the queue drains. Returns the final time.
 
         Firing max_events events in one call raises SimError, naming the

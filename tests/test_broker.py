@@ -215,6 +215,13 @@ def test_message_fields_cannot_be_assigned(broker):
     # a message is its id and payload, nothing else
     assert msg._fields == ("id", "payload")
     assert (msg.id, msg.payload) == (1, b"m")
+    # a payload that is not bytes is copied, so changing it later changes
+    # no buffered message
+    raw = bytearray(b"n")
+    broker.publish("q", raw)
+    raw[0] = ord("x")
+    broker.ack("q", "c", msg.id)
+    assert broker.poll("q", "c").payload == b"n"
 
 
 # -- mirroring ----------------------------------------------------------------

@@ -7,10 +7,11 @@ are fixed. Besides the shipped scenarios and a fault grid, the cells pinned
 are the first ten seeds of test_acceptance_2, with its triggers, and two
 handoff cells whose freeze, stop and watermark switch each wait in a hold.
 
-Contract tier: SHA-256 digests of the shipped scenarios' reports and, per
-cell, of its outputs, final state, MigrationRecord fields, mode transitions
-and the number of control messages on each control queue. These are the
-contract and change only with a deliberate behaviour change.
+Contract tier: SHA-256 digests of the shipped scenarios' reports (kept in
+scenario_digests.json beside this file) and, per cell, of its outputs, final
+state, MigrationRecord fields, mode transitions and the number of control
+messages on each control queue. These are the contract and change only with
+a deliberate behaviour change.
 
 Mechanics tier: EVENTS, the exact number of simulated events each cell fires
 (SimClock.events_processed). A change that drops events which do nothing
@@ -25,6 +26,7 @@ import dataclasses
 import enum
 import functools
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -54,14 +56,9 @@ POLICIES = {
 VARIANTS = [(0.0, "default", 7.0), (0.0, "threshold3", 11.0),
             (0.7, "default", 11.0), (0.7, "threshold3", 7.0)]
 
-SCENARIO_DIGESTS = {
-    "asymmetric_links.json": "d8715750816d713fedb8f0318466fba284d8721b85f0758f03dc6da117da72ac",
-    "calibrated.json": "04b06a84758e2a6132574f174fe78e8677d02662b7d8a514548dcf026e0feb77",
-    "crash_replay.json": "08723f8521204e8235578c65cefbe936b9e67ba2a5af153a722290d2f47d9327",
-    "stress_drain.json": "bac6d682701f3259f24cbee5cab25fe96a57cc28e1306aa4982daf9066f329df",
-    "stress_overload.json": "433cff355ff6aea212e5e77083e3d9344cf1de41645aafe38b2887fae06c92bf",
-    "zero_cost.json": "2484616fe4626e02c59412b1e900710b61dab83441744fa36dc359f23c5233ce",
-}
+# the shipped scenarios' report digests; tools/interpreters.py reads them too
+SCENARIO_DIGESTS = json.loads(Path(__file__).with_name(
+    "scenario_digests.json").read_text(encoding="utf-8"))
 
 GRID_DIGESTS = [
     "ffe7560b80b3bb71f0c6c5fe52f550342f39229add1664a10270e409e9af329b",
@@ -462,10 +459,11 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        print("SCENARIO_DIGESTS = {")
-        for p in sorted(SCENARIO_DIR.glob("*.json")):
-            print(f'    "{p.name}": "{scenario_digest(p, Path(tmp))}",')
-        print("}\n\nGRID_DIGESTS = [")
+        print("scenario_digests.json:")
+        print(json.dumps({p.name: scenario_digest(p, Path(tmp))
+                          for p in sorted(SCENARIO_DIR.glob("*.json"))},
+                         indent=4))
+        print("\nGRID_DIGESTS = [")
         for _label, digest, _, _ in pinned("grid"):
             print(f'    "{digest}",')
         print("]\n\nACCEPTANCE2_DIGESTS = [")

@@ -13,12 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 from migsim.cli import main
 from migsim.config import (ConfigError, MAX_TRIALS, SCHEMA_VERSION,
                            ScenarioConfig, effective_params, load_scenario,
-                           parse_scenario)
+                           max_replay_checks, parse_scenario)
 from migsim.harness import (CSV_COLUMNS, TrialRow, compare, export_csv,
                             load_csv, run_experiment)
-from migsim.migration import HandoffPolicy, Technique
+from migsim.migration import HandoffPolicy, MigrationManager, Technique
 from migsim.rules import rules
-from migsim.sim import FaultSpec, SimParams
+from migsim.sim import FaultSpec, SimParams, Simulation
 from migsim.simnet import Host, Link
 from migsim.workload import WorkloadSpec
 
@@ -304,6 +304,14 @@ def test_parse_validates_topology():
             parse_scenario(_doc(links=links))
         assert err.value.errors == ["links: must be a non-empty list"]
 
+    # a host that is not listed is named where it is referred to
+    doc = _doc(links=[{"source": "a", "target": "c"}])
+    doc["migration"]["source"] = "z"
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(doc)
+    assert err.value.errors == ["links[0].target: unknown host 'c'",
+                                "migration.source: unknown host 'z'"]
+
 
 def test_parse_refuses_repeats_and_entries_that_are_not_objects():
     doc = _doc(techniques=["MS2M", "StopAndCopy", "MS2M"])
@@ -347,6 +355,11 @@ def test_parse_validates_overrides():
     assert "warp_factor: unknown override" in text
     assert "overrides.StopAndCopy.bandwidth_kib_per_s" in text
     assert "unknown technique 'Teleport'" in text
+    for raw in ([], "MS2M"):
+        with pytest.raises(ConfigError) as err:
+            parse_scenario(_doc(overrides=raw))
+        assert err.value.errors == [
+            "overrides: must be an object keyed by technique"]
 
 
 def test_effective_params_applies_per_technique_overrides():
@@ -561,6 +574,55 @@ def test_parse_scenario_accepts_or_reports_mutants(mutant):
         assert exc.errors
 
 
+@st.composite
+def _replay_scenarios(draw):
+    """One MS2M trial whose replay may drain, diverge, time out or start
+    after the last arrival. Poisson is left out: its count is random, and
+    the bound takes its mean."""
+    doc = _doc(
+        trials=1, techniques=["MS2M"],
+        service={"processing_ms": draw(st.sampled_from([0.0, 1.0, 4.0, 10.0]))},
+        delivery_latency_ms=draw(st.sampled_from([0.0, 0.7, 3.0])),
+        workload={"kind": draw(st.sampled_from(["ConstantRate", "GameSession"])),
+                  "arrival_rate": draw(st.sampled_from([0.0, 20.0, 90.0, 150.0])),
+                  "duration_ms": draw(st.floats(0.0, 1500.0))})
+    doc["migration"].update(
+        trigger_ms=draw(st.floats(0.0, 2000.0)),
+        replay_timeout_ms=draw(st.sampled_from([None, 30.0, 400.0])),
+        check_interval_ms=draw(st.sampled_from([1.0, 7.5, 40.0])),
+        handoff_threshold=draw(st.sampled_from([0, 3])),
+        divergence_window=draw(st.sampled_from([1, 5, 10**6])))
+    return doc
+
+
+_DIVERGING = _doc(trials=1, techniques=["MS2M"], service={"processing_ms": 10.0},
+                  workload={"kind": "ConstantRate", "arrival_rate": 150.0,
+                            "duration_ms": 1500.0})
+_DIVERGING["migration"].update(trigger_ms=100.0, replay_timeout_ms=None,
+                               check_interval_ms=1.0, divergence_window=10**6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_replay_scenarios())
+# arrivals at 1.5x the replay rate and no timeout: replay runs on past the
+# last arrival until the backlog drains, about 2160 checks
+@example(_DIVERGING)
+def test_the_replay_monitor_stays_within_its_check_bound(doc):
+    config = parse_scenario(doc)
+    checks = []
+    real_on_event = MigrationManager._on_event
+
+    def on_event(self, event):
+        checks.append(event == "check_due")
+        real_on_event(self, event)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MigrationManager, "_on_event", on_event)
+        Simulation(effective_params(config, Technique.MS2M, 0)).run()
+    assert sum(checks) <= max_replay_checks(config.workload,
+                                            config.params[Technique.MS2M])
+
+
 # -- command line ----------------------------------------------------------------
 
 
@@ -625,6 +687,26 @@ def test_cli_validate(tmp_path, capsys):
                                 "phase": {"name": "MessageReplay"}})
     assert main(["validate", str(_write_scenario(tmp_path, doc))]) == 1
     assert "fault.phase: must be a phase name" in capsys.readouterr().err
+
+
+def test_validate_refuses_a_replay_the_event_budget_cannot_hold(tmp_path,
+                                                                capsys):
+    # with no timeout, 1 ms checks over a replay that may last until 2*10^7
+    # ms of arrivals at 1500 ms each have drained would exhaust the event
+    # budget mid-run; the run used to fail only after about 20 s
+    doc = _doc(trials=1, techniques=["MS2M"], service={"processing_ms": 1500},
+               workload={"kind": "ConstantRate", "arrival_rate": 1,
+                         "duration_ms": 2e7})
+    doc["migration"].update(replay_timeout_ms=None, check_interval_ms=1)
+    assert main(["validate", str(_write_scenario(tmp_path, doc))]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("migration.check_interval_ms: ")
+    # a timeout caps the checks, and StopAndCopy runs no monitor
+    doc["migration"]["replay_timeout_ms"] = 60_000
+    assert main(["validate", str(_write_scenario(tmp_path, doc))]) == 0
+    doc["migration"]["replay_timeout_ms"] = None
+    doc["techniques"] = ["StopAndCopy"]
+    assert main(["validate", str(_write_scenario(tmp_path, doc))]) == 0
 
 
 def test_python_dash_m_migsim_runs_the_command_line(tmp_path):

@@ -106,6 +106,12 @@ def test_rejects_bool_and_oversized_int():
         serialize_state(ServiceState({"k": True}, 0))
     with pytest.raises(SerializationError):
         serialize_state(ServiceState({"k": 2 ** 63}, 0))
+    with pytest.raises(SerializationError,
+                       match="^unsupported value type float$"):
+        serialize_state(ServiceState({"k": 1.5}, 0))
+    with pytest.raises(SerializationError,
+                       match="^last_processed_id must be >= 0$"):
+        serialize_state(ServiceState({}, -1))
 
 
 def test_rejects_trailing_bytes_and_truncation():

@@ -340,6 +340,8 @@ def test_checkpoint_duration_linear_in_size():
 def test_restore_duration_linear_in_size():
     host = _host(restore_fixed_ms=30.0, restore_ms_per_kib=8.0)
     assert restore_duration(host, 4096) == 62.0
+    with pytest.raises(ValueError, match="size_bytes must be >= 0"):
+        restore_duration(host, -1)
 
 
 def test_transfer_duration_latency_plus_bandwidth():
@@ -347,6 +349,8 @@ def test_transfer_duration_latency_plus_bandwidth():
     link = Link(source="a", target="b", latency_ms=50.0,
                 bandwidth_kib_per_s=2.0)
     assert transfer_duration(link, 4096) == 2050.0
+    with pytest.raises(ValueError, match="size_bytes must be >= 0"):
+        transfer_duration(link, -1)
 
 
 def test_transfer_unconstrained_bandwidth_is_pure_latency():

@@ -313,6 +313,26 @@ MUTANTS = [
            "        if host_id in hosts:\n",
            "        if False:\n",
            "tests/test_harness.py::test_parse_refuses_repeats_and_entries_that_are_not_objects"),
+    Mutant("an unknown host passes as known", "src/migsim/config.py",
+           "    if hosts and host_id not in hosts:\n",
+           "    if False:\n",
+           "tests/test_harness.py::test_parse_validates_topology"),
+    Mutant("the migration's link is looked up reversed",
+           "src/migsim/config.py",
+           "    link = links[source, target]\n",
+           "    link = links.get((target, source)) or links[source, target]\n",
+           "tests/test_golden.py::test_shipped_scenario_reports_match_golden"),
+    Mutant("a replay over the event budget is accepted",
+           "src/migsim/config.py",
+           "        if checks > EVENT_BUDGET:\n",
+           "        if False:\n",
+           "tests/test_harness.py::test_validate_refuses_a_replay_the_event_budget_cannot_hold"),
+    Mutant("the check bound leaves out the messages' processing",
+           "src/migsim/config.py",
+           "            + messages * (params.processing_ms"
+           " + params.delivery_latency_ms))\n",
+           "            + messages * params.delivery_latency_ms)\n",
+           "tests/test_harness.py::test_the_replay_monitor_stays_within_its_check_bound"),
     # -- simulation ---------------------------------------------------------------
     Mutant("two-serving check disabled", "src/migsim/sim.py",
            "            if len(self._serving) > 1:\n",
