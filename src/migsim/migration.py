@@ -117,8 +117,8 @@ class MigrationRecord:
     def validate_timeline(self) -> None:
         """Spans must tile the record exactly, each starting at the instant
         the previous one ended, and no phase may be entered twice: a phase
-        fault is scheduled on entry, so this invariant is what keeps it to
-        one firing."""
+        fault is armed on each entry and disarmed when the phase closes, so
+        this invariant is what keeps it to one arming."""
         prev_end = None
         seen: set[str] = set()
         for span in self.phase_timeline:
@@ -255,10 +255,14 @@ class MigrationManager:
     down, closes and checks the phase timeline, and records the outcome.
 
     Around the protocol, the manager kills the source (crash_source, which
-    aborts the migration in any state before HANDOFF), schedules a fault on
-    a named phase when it enters that phase, reports the restored target's
+    aborts the migration in any state before HANDOFF), arms a fault on a
+    named phase when it enters that phase, reports the restored target's
     mode changes to the source's on_mode_change, and on Completed times how
-    long the target takes to drain the main queue into record.drain_ms.
+    long the target takes to drain the main queue into record.drain_ms. The
+    open phase owns its fault as the protocol owns its timer: _fault holds
+    the pending entry, its firing clears it, and _close_phases, which every
+    phase change and _finish go through, cancels it. So nothing the manager
+    arms outlives the scope that armed it.
     """
 
     q_mgr = f"ctl.{MIGRATION_ID}.mgr"
@@ -282,6 +286,7 @@ class MigrationManager:
         self.target_instance: ServiceInstance | None = None
         self._current_phase: tuple[Phase, float] | None = None
         self._timer = None  # the one pending timer's clock entry, if any
+        self._fault = None  # the open phase's pending fault entry, if any
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -318,9 +323,15 @@ class MigrationManager:
         self._current_phase = (phase, self.clock.now)
         fault = self.params.fault
         if fault is not None and fault.phase == phase.value:
-            self.clock.schedule(fault.offset_ms, self.crash_source)
+            def fire():
+                self._fault = None
+                self.crash_source()
+            self._fault = self.clock.schedule(fault.offset_ms, fire)
 
     def _close_phases(self) -> None:
+        if self._fault is not None:
+            self.clock.cancel(self._fault)
+            self._fault = None
         if self._current_phase is not None:
             name, start = self._current_phase
             self.record.phase_timeline.append(

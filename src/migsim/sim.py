@@ -12,10 +12,10 @@ the run: identical inputs give byte-identical outputs and final state.
 
 The Simulation owns the clock, the broker, the source instance and the mode
 log. A MigrationManager built from the same SimParams owns the rest of a
-migration: the source crash (a phase fault it schedules itself, on entering
-that phase), the restored target's place in the mode log, and the drain
-timing in its record. Only a run without a technique crashes its source
-directly.
+migration: the source crash (a phase fault it arms on entering that phase
+and disarms when that phase closes), the restored target's place in the
+mode log, and the drain timing in its record. Only a run without a
+technique crashes its source directly.
 """
 
 from __future__ import annotations
@@ -36,7 +36,9 @@ from .workload import WorkloadSpec, generate
 @dataclass(frozen=True)
 class FaultSpec:
     """Kill the source instance at an absolute time or at an offset into a
-    named migration phase."""
+    named migration phase. A phase fault fires only if its phase is still
+    open at that offset: closing the phase, by entering the next one or by
+    ending the migration, disarms it."""
 
     kind: str = "source_crash"
     at_ms: float | None = param(None, minimum=0.0, nullable=True)

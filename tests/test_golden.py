@@ -4,8 +4,10 @@ tiers.
 test_acceptance_6 only checks that two runs agree with each other, so a change
 that moved every number the same way would still pass it. The values below
 are fixed. Besides the shipped scenarios and a fault grid, the cells pinned
-are the first ten seeds of test_acceptance_2, with its triggers, and two
-handoff cells whose freeze, stop and watermark switch each wait in a hold.
+are the first ten seeds of test_acceptance_2, with its triggers, two
+handoff cells whose freeze, stop and watermark switch each wait in a hold,
+and three riding cells in which a control message rides a broker wake
+already on its way and arrives sooner than the delivery latency.
 
 Contract tier: SHA-256 digests of the shipped scenarios' reports (kept in
 scenario_digests.json beside this file) and, per cell, of its outputs, final
@@ -37,7 +39,8 @@ import pytest
 
 from migsim.config import load_scenario
 from migsim.harness import export_csv, run_experiment
-from migsim.migration import HandoffPolicy, Outcome, Technique
+from migsim.migration import (HandoffPolicy, MigrationManager, Outcome,
+                              Technique)
 from migsim.service import ServiceInstance
 from migsim.sim import FaultSpec, SimParams, Simulation
 from migsim.simnet import Host, Link
@@ -205,6 +208,14 @@ HANDOFF_DIGESTS = [
     "8ac3bc51510c431f7e3835916b868c442b0901200094776d897fcb0322b10e02",
 ]
 
+# a control message rides a wake on its way in each: frozen arrives 1.0 and
+# 9.73 ms after its publish, replay_idle 3.0 ms (test_riding_cells_ride)
+RIDING_DIGESTS = [
+    "7a257adbca70483721aeebdf5eee6a0e276f9f7c8d27521686f532f11f71cb6d",
+    "447f42817575e025aed847d3108dc3340ee96c43d0363f68453f7c489f9284ca",
+    "b969bdcc671110d93959310b25550ffb90415300970213a237d72c8c386f91d7",
+]
+
 EVENTS = {
     "grid": [
         768, 406, 769, 421, 421, 422, 422, 423, 423, 426,
@@ -226,6 +237,9 @@ EVENTS = {
     ],
     "handoff": [
         671, 719,
+    ],
+    "riding": [
+        697, 719, 684,
     ],
 }
 
@@ -293,6 +307,22 @@ def handoff_cells():
             params, workload=dataclasses.replace(params.workload, seed=seed))
 
 
+RIDING_LATENCY_MS = 10.0
+
+
+def riding_cells():
+    """Yield (label, SimParams) for three MS2M cells in which a control
+    message arrives sooner than delivery_latency_ms after its publish: the
+    grid's hosts and link without jitter, 10 ms delivery latency, handoff
+    threshold 3, 7 ms processing and workload seeds 8, 12 and 32."""
+    for seed in (8, 12, 32):
+        params = _params(Technique.MS2M,
+                         (RIDING_LATENCY_MS, "threshold3", 7.0))
+        yield f"riding seed {seed}", dataclasses.replace(
+            params, link=dataclasses.replace(params.link, jitter_frac=0.0),
+            workload=dataclasses.replace(params.workload, seed=seed))
+
+
 def _canon(x):
     if isinstance(x, enum.Enum):
         return x.value
@@ -321,7 +351,7 @@ def run_cell(params: SimParams) -> tuple[str, Outcome, int]:
 
 
 CELL_SETS = {"grid": grid, "acceptance2": acceptance2_cells,
-             "handoff": handoff_cells}
+             "handoff": handoff_cells, "riding": riding_cells}
 
 
 @functools.cache
@@ -434,6 +464,46 @@ def test_handoff_cells_wait_in_every_hold(monkeypatch):
                                 ("request_stop", True)], label
 
 
+def test_riding_cells_match_golden():
+    cells = pinned("riding")
+    assert len(cells) == len(RIDING_DIGESTS)
+    mismatched = [label for (label, digest, outcome, _), want
+                  in zip(cells, RIDING_DIGESTS)
+                  if (digest, outcome) != (want, Outcome.COMPLETED)]
+    assert mismatched == []
+
+
+def test_riding_cells_ride(monkeypatch):
+    """Each riding cell delivers a control message sooner than the delivery
+    latency after its publish, riding a broker wake to its queue that was
+    already on its way. A queue delivers in publish order and each event
+    name goes to one queue, so a delivery is matched to the oldest
+    unmatched publish of its name."""
+    real_send = MigrationManager._send
+    real_on_event = MigrationManager._on_event
+    sent, early = {}, []
+
+    def send(self, queue, event):
+        sent.setdefault(event, []).append(self.clock.now)
+        real_send(self, queue, event)
+
+    def on_event(self, event):
+        if sent.get(event):  # a timer's event is never sent
+            delay = self.clock.now - sent[event].pop(0)
+            # a margin, so that a full hop's float rounding is not early
+            if delay < RIDING_LATENCY_MS - 1e-6:
+                early.append(event)
+        real_on_event(self, event)
+
+    monkeypatch.setattr(MigrationManager, "_send", send)
+    monkeypatch.setattr(MigrationManager, "_on_event", on_event)
+    for label, params in riding_cells():
+        sent.clear()
+        early.clear()
+        Simulation(params).run()
+        assert early, label
+
+
 @pytest.mark.parametrize("kind", sorted(CELL_SETS))
 def test_event_counts_match_golden(kind):
     cells = pinned(kind)
@@ -471,6 +541,9 @@ if __name__ == "__main__":
             print(f'    "{digest}",')
         print("]\n\nHANDOFF_DIGESTS = [")
         for _label, digest, _, _ in pinned("handoff"):
+            print(f'    "{digest}",')
+        print("]\n\nRIDING_DIGESTS = [")
+        for _label, digest, _, _ in pinned("riding"):
             print(f'    "{digest}",')
         print("]\n")
         _print_events()

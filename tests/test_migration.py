@@ -646,6 +646,102 @@ def test_source_crash_without_migration():
     assert res.outputs == control.outputs[:len(res.outputs)]
 
 
+# -- a phase fault lives only while its phase is open ---------------------------
+
+
+def test_a_replay_fault_past_a_divergence_abort_does_not_fire():
+    # the replay span ends at the abort, 500 ms in; the fault would
+    # land 5 s into it, on the rolled-back source
+    params = _mk(arrival=150.0, duration=10_000.0, processing=10.0,
+                 fault=FaultSpec(phase=Phase.REPLAY.value, offset_ms=5000.0))
+    control = _control_of(params)
+    res = _run(params)
+    assert res.record.outcome is Outcome.ABORTED_DIVERGENCE
+    assert res.record.phase_ms(Phase.REPLAY) < 5000.0
+    assert res.outputs == control.outputs
+    assert res.final_state == control.final_state
+    assert res.source.mode is Mode.SERVING and not res.source.crashed
+
+
+@pytest.mark.parametrize("technique",
+                         [Technique.MS2M, Technique.STOP_AND_COPY])
+def test_a_pause_fault_past_completion_does_not_fire(technique):
+    params = _mk(technique=technique,
+                 fault=FaultSpec(phase=Phase.PAUSE.value, offset_ms=10_000.0))
+    res = _run(params)
+    assert res.record.outcome is Outcome.COMPLETED
+    assert res.record.completed_at < params.trigger_ms + 10_000.0
+    assert not res.source.crashed
+    assert res.outputs == _control_of(params).outputs
+
+
+def test_a_pause_fault_that_lands_in_the_checkpoint_does_not_abort():
+    params = _mk(fault=FaultSpec(phase=Phase.PAUSE.value, offset_ms=7.0))
+    res = _run(params)
+    spans = {s.name: s for s in res.record.phase_timeline}
+    checkpoint = spans[Phase.CHECKPOINT.value]
+    assert spans[Phase.PAUSE.value].duration_ms == params.pause_ms == 5.0
+    # the fault's instant falls inside the next phase, not its own
+    assert checkpoint.start_ms < params.trigger_ms + 7.0 < checkpoint.end_ms
+    assert res.record.outcome is Outcome.COMPLETED
+    assert not res.source.crashed
+    assert res.outputs == _control_of(params).outputs
+
+
+# the golden grid's two handoff policies
+ORACLE_POLICIES = [HandoffPolicy(),
+                   HandoffPolicy(handoff_threshold=3, replay_timeout_ms=400.0)]
+
+
+def _oracle_cell(technique, latency, processing, policy, seed):
+    # 120 msg/s: 11 ms processing is overloaded, 7 ms is not
+    return _mk(technique=technique, delivery_latency_ms=latency,
+               processing=processing, policy=ORACLE_POLICIES[policy],
+               workload=WorkloadSpec("Poisson", 120.0, 2500.0, seed=seed),
+               trigger_ms=800.0)
+
+
+@functools.cache
+def _oracle_spans(*cell) -> tuple[PhaseSpan, ...]:
+    return tuple(_run(_oracle_cell(*cell)).record.phase_timeline)
+
+
+@functools.cache
+def _oracle_control(seed):
+    # a run without a migration applies every message in id order whatever
+    # its timing, so one control serves every cell of a workload seed
+    return _control_of(_oracle_cell(Technique.MS2M, 0.0, 1.0, 0, seed))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(technique=st.sampled_from(list(Technique)),
+       latency=st.sampled_from([0.0, 0.7, 3.0]),
+       processing=st.sampled_from([1.0, 7.0, 11.0]),
+       policy=st.sampled_from(range(len(ORACLE_POLICIES))),
+       seed=st.integers(0, 5), data=st.data())
+def test_a_phase_fault_keeps_the_contract(technique, latency, processing,
+                                          policy, seed, data):
+    """A crash drawn anywhere from a phase's start to twice its fault-free
+    length: a migration that ends Completed or AbortedDivergence left the
+    run as the control's, and a crash abort loses only a suffix."""
+    cell = (technique, latency, processing, policy, seed)
+    span = data.draw(st.sampled_from(_oracle_spans(*cell)))
+    offset = data.draw(st.floats(0.0, 2.0 * span.duration_ms))
+    res = _run(dataclasses.replace(_oracle_cell(*cell), fault=FaultSpec(
+        phase=span.name, offset_ms=offset)))
+    control = _oracle_control(seed)
+    rec = res.record
+    if rec.outcome is Outcome.ABORTED_SOURCE_CRASH:
+        assert res.outputs == control.outputs[:len(res.outputs)]
+        info = rec.crash_info
+        assert info["source_last_processed"] == len(res.outputs)
+        assert info["unemitted_count"] == (info["published_total"]
+                                           - info["source_last_processed"])
+    else:
+        assert res.outputs == control.outputs
+        assert res.final_state == control.final_state
+
+
 # one cell of each kind, with the outcome it must reach ("raises": the run
 # itself raises UnknownCommand)
 CELL_KINDS = {
@@ -977,7 +1073,8 @@ def test_a_backlog_that_holds_is_not_divergence():
 
 def _timer_cells():
     """A replay_idle handoff with a check pending, a divergence abort on a
-    check, a timeout, a mid-phase crash and a Completed StopAndCopy."""
+    check, a timeout, a mid-phase crash, a Completed StopAndCopy and a pause
+    fault disarmed when its phase closes."""
     return [_mk(delivery_latency_ms=0.7,
                 policy=HandoffPolicy(check_interval_ms=28.0)),
             _mk(**OVERLOAD),
@@ -985,7 +1082,8 @@ def _timer_cells():
                 replay_timeout_ms=50.0, check_interval_ms=20.0,
                 divergence_window=10_000)),
             _mk(fault=FaultSpec(phase=Phase.TRANSFER.value, offset_ms=0.5)),
-            _mk(technique=Technique.STOP_AND_COPY)]
+            _mk(technique=Technique.STOP_AND_COPY),
+            _mk(fault=FaultSpec(phase=Phase.PAUSE.value, offset_ms=7.0))]
 
 
 def test_no_timer_fires_after_the_migration_ends():

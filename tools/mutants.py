@@ -263,6 +263,12 @@ MUTANTS = [
            "            self._on_event(event)\n",
            "            self._on_event(event)\n",
            "tests/test_migration.py::test_every_cancel_hits_a_live_entry"),
+    Mutant("a phase fault outlives its phase", "src/migsim/migration.py",
+           "        if self._fault is not None:\n"
+           "            self.clock.cancel(self._fault)\n"
+           "            self._fault = None\n",
+           "",
+           "tests/test_migration.py::test_a_replay_fault_past_a_divergence_abort_does_not_fire"),
     Mutant("a backlog that held grows the streak", "src/migsim/migration.py",
            "if backlog > self._backlog else 0\n",
            "if backlog >= self._backlog else 0\n",
