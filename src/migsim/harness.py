@@ -177,14 +177,15 @@ class ComparisonSummary:
                 if value:
                     lines.append(f"  {phase:<19} {value:12.3f} ms")
         if self.total_delta_pct is not None:
-            ms2m = Technique.MS2M.value
-            sc = Technique.STOP_AND_COPY.value
-            lines.append(f"{ms2m} vs {sc}:")
+            lines.append(f"{Technique.MS2M.value} vs "
+                         f"{Technique.STOP_AND_COPY.value}:")
             lines.append(f"  total migration time  {self.total_delta_pct:+.2f}%")
+            # a baseline with no downtime leaves the reductions undefined
+            pct = lambda v: "n/a" if v is None else f"{v:.2f}%"
             lines.append("  downtime reduction:"
-                         f" paused {self.downtime_reduction_paused_pct:.2f}%,"
-                         f" strict {self.downtime_reduction_strict_pct:.2f}%,"
-                         f" p+c+t {self.downtime_reduction_pct_reading_pct:.2f}%")
+                         f" paused {pct(self.downtime_reduction_paused_pct)},"
+                         f" strict {pct(self.downtime_reduction_strict_pct)},"
+                         f" p+c+t {pct(self.downtime_reduction_pct_reading_pct)}")
         return "\n".join(lines)
 
 

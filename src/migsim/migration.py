@@ -22,9 +22,11 @@ on one of three per-migration broker queues, whose payload is the bare ASCII
 event name. A control message is delivered like any other, by the broker's
 wake rule: a publish to a queue whose consumer is idle wakes it
 delivery_latency_ms (zero by default) later, and a message published while
-that wake is on its way rides it and arrives sooner. So a control hop adds
-at most that latency to the migration, not always all of it (ROADMAP.md
-item 15 would make every hop pay it in full); handling it takes no further
+that wake is on its way rides it and arrives sooner. The one ride the
+protocol leaves is the target's replay_idle on entering replay, published
+while restored is on its way to the manager. So a control hop adds at most
+that latency to the migration, not always all of it (ROADMAP.md item 15
+would make every hop pay it in full); handling it takes no further
 simulated time.
 Each phase span starts where the previous one ended, so the spans tile the
 record exactly either way.
@@ -246,19 +248,24 @@ class MigrationManager:
     shows both as tables. _on_event looks the pair (state, event) up in it,
     runs the step the row names and moves to the row's next state, or, for
     the replay monitor's choice, to the declared state the step returned;
-    any other return is a ProtocolError. An event the graph knows, arriving
-    in a state that has no row for it, is stale (an abort or an earlier step
-    overtook it) and is dropped; only a control message can be, because
-    leaving replay (_decide) and leaving the protocol cancel the pending
-    timer. An event the graph does not know is a ProtocolError. Every
-    outcome leaves through _finish, which cancels the pending timer, tears
-    down, closes and checks the phase timeline, and records the outcome.
+    any other return is a ProtocolError. DONE has no row. An event the graph
+    knows, arriving in a state that has no row for it, is stale and is
+    dropped; an event the graph does not know is a ProtocolError. Only a
+    control message can be stale, one that was in flight when its state was
+    left (an abort or an earlier step overtook it): leaving replay (_decide)
+    cancels the pending check and clears the target's on_idle, the replay
+    hook, and leaving the protocol cancels the pending timer, so the manager
+    sends each message in a state from which the graph can still take it.
+    Every outcome leaves through _finish, which cancels the pending timer,
+    tears down, closes and checks the phase timeline, and records the
+    outcome.
 
     Around the protocol, the manager kills the source (crash_source, which
     aborts the migration in any state before HANDOFF), arms a fault on a
     named phase when it enters that phase, reports the restored target's
     mode changes to the source's on_mode_change, and on Completed times how
-    long the target takes to drain the main queue into record.drain_ms. The
+    long the target takes to drain the main queue into record.drain_ms,
+    through a drain hook _finish sets in the on_idle slot replay left. The
     open phase owns its fault as the protocol owns its timer: _fault holds
     the pending entry, its firing clears it, and _close_phases, which every
     phase change and _finish go through, cancels it. So nothing the manager
@@ -541,8 +548,10 @@ class MigrationManager:
                                   self._streak)
         if decision is Decision.CONTINUE:
             return State.REPLAY
-        # leaving replay: a pending check would only fire as stale
+        # leaving replay: a pending check or the replay hook's next message
+        # would only arrive as stale
         self._cancel_timer()
+        self.target_instance.on_idle = None
         if decision is Decision.HANDOFF:
             self._send(self.q_tgt, "freeze")
             return State.FREEZE
@@ -588,9 +597,6 @@ class MigrationManager:
         (State.STOP, "source_stopped"): (_announce_watermark, State.HANDOFF),
         (State.HANDOFF, "watermark"): (_finish_replay, State.HANDOFF),
         (State.ABORT, "discard"): (_discard_target, State.ABORT),
-        # a crash abort can overtake a discard on its way to the target,
-        # which still acknowledges it
-        (State.DONE, "discard"): (_discard_target, State.DONE),
         (State.ABORT, "discarded"):
             (lambda m: m._finish(Outcome.ABORTED_DIVERGENCE), State.DONE),
     }

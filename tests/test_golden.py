@@ -6,8 +6,9 @@ that moved every number the same way would still pass it. The values below
 are fixed. Besides the shipped scenarios and a fault grid, the cells pinned
 are the first ten seeds of test_acceptance_2, with its triggers, two
 handoff cells whose freeze, stop and watermark switch each wait in a hold,
-and three riding cells in which a control message rides a broker wake
-already on its way and arrives sooner than the delivery latency.
+and four riding cells at 10 ms delivery latency: three whose control
+messages used to ride a broker wake already on its way, and one in which a
+replay_idle still does and arrives sooner than the latency.
 
 Contract tier: SHA-256 digests of the shipped scenarios' reports (kept in
 scenario_digests.json beside this file) and, per cell, of its outputs, final
@@ -40,7 +41,7 @@ import pytest
 from migsim.config import load_scenario
 from migsim.harness import export_csv, run_experiment
 from migsim.migration import (HandoffPolicy, MigrationManager, Outcome,
-                              Technique)
+                              State, Technique)
 from migsim.service import ServiceInstance
 from migsim.sim import FaultSpec, SimParams, Simulation
 from migsim.simnet import Host, Link
@@ -64,9 +65,9 @@ SCENARIO_DIGESTS = json.loads(Path(__file__).with_name(
     "scenario_digests.json").read_text(encoding="utf-8"))
 
 GRID_DIGESTS = [
-    "ffe7560b80b3bb71f0c6c5fe52f550342f39229add1664a10270e409e9af329b",
+    "666a8203b41740a5dfb23a0ae1db9ecb761f5c231cd886e8a8ae9aab4598fadd",
     "681e89bd1d5720d21a750c0572295f0b50ba5e38f757735e474d254978393c5e",
-    "ffe7560b80b3bb71f0c6c5fe52f550342f39229add1664a10270e409e9af329b",
+    "666a8203b41740a5dfb23a0ae1db9ecb761f5c231cd886e8a8ae9aab4598fadd",
     "1bc4347aec874b0d0b92f3a90b75ab6961a3b33e46884a1267082a8e6c265792",
     "c45ee157614f5ef03ffd5da0d9937c122e4b7df0f34ae90be70253b93f9350f0",
     "e4e3ca29c8937ead3611229b29f1c4197700f85bd194131e4a47242bcf3cc433",
@@ -79,7 +80,7 @@ GRID_DIGESTS = [
     "728482df6d7e40f47e3f910f085621d881867b293fa845b4e23444a6dca10c34",
     "e532533a717e37aad56d1795098c7a87c70db3adde0989fc8a4445d7cd3c120b",
     "ef21db8540f85c38631b5abf0b979aadfff0f6172f6b9bad0cb75e41924286d0",
-    "ffe7560b80b3bb71f0c6c5fe52f550342f39229add1664a10270e409e9af329b",
+    "666a8203b41740a5dfb23a0ae1db9ecb761f5c231cd886e8a8ae9aab4598fadd",
     "77abc737c937d49dab2fec6d4fb53c2d7d3f9fc40205777e69c2e77e335895c2",
     "8fff58257a12dd2a9c27acd98fda9666c695e12750e8eed35adffe638fe95a76",
     "d2eae5b43ad5c99c95fc6605befc8690c7333367606d892d82386ff404b6577a",
@@ -178,25 +179,25 @@ GRID_DIGESTS = [
 ]
 
 ACCEPTANCE2_DIGESTS = [
-    "18ddb4fe1bb2600a75706caed34d70eae38502844a3385292ba2367dec3142f4",
+    "ebf7b57f4e8df70a321cfd5c6add9c5c6584e89aa4a9279a97315a69c4abbb93",
     "4f5d28294f1760d2f26b2b8b6f26367d573d37c265ce6890045d3ad31e54857a",
-    "31d93190c9d3c2b4ad44eeabcbbed4c1ff3475fbc72be9aba72b4c0edc8e790f",
+    "cf442a11264cbb1f246b11292253f6804277a80bb0776590f5760a38ee4dbd0e",
     "d6ec9c34a98bdcfc54c25a25da51a038616f3998df50954673b9552f97dba16d",
-    "82a4095ded4f58f5055c404e59dc2b101a4ee7f0c460e0149c6b0007ea23ca54",
+    "3e7ea1ffebc688764057fa086c97111c0dec3f70f5f98118bbc05945e41d2735",
     "bc6515e02cc7925ea4c852f2aa9eb00adb89e5a1dc1650bbe714a469b2ab4a6a",
-    "fbe3887dfc65df901c48a28889b689981a2fd99909ea4bfabc6131e259b3f0b6",
+    "039c2bcb21b9f06a64c3bed4484006ea11d30ab5cd8f6b49d4d56f41f519f308",
     "bdd1a853ad0f16036a1bc7edf0036d61a7e2c24a1aaf7f2bc7e1e3dbd51ea27d",
-    "f8add503904c164f42067c4197dcdb47913a65dccc74141380b0abc84eafaebb",
+    "ebb3b2d5b440be1b4ad9b4c5f05d6fea519d7de6e260985b4375cfd366213f5f",
     "26a69742b91ded3a53ce46822b7bc18020f7eb13bb50305511ad6d23c610cbb5",
-    "3ab0e1f805c87fbca63fea350dd63a850db50c34b9a9339ca49ff75d408864cb",
+    "a7b28e16d30deb0020388e2ea2002799246cc51722757346df10a39758b39d44",
     "9ff416514d88351ff692b691087fbb239f8219c73cba70dbb7f50a5728a7266e",
-    "4c479694727261ee5c3a3118b5c889c171ce5a194cc706a4440b87e8c4600767",
+    "796c59b6e6f1c0da3073d4715a30bb6da74610a33fac6332149805d7e9741ff3",
     "000668e4f9d4610448ceb106e82e9563932fac80f3399eb4b39166f7cefadfd5",
-    "1548556ca125e6ae6226c24649961dc9e2eae28492c58c5d356a92841ce60b17",
+    "ac1cf399a1c0e0faf2ecf41ecf2804a3fb4384cdb6691d886e4a6fcbba5a7cc7",
     "64e58e1b55b8ab686dcd6e1461c273b9f1658488eac85a6f85ba8b8c96747891",
-    "af55d11f4df979da41d850c4eb86b5dd1d75de78c8c86557b4c6cb70526477da",
+    "8d687c810bd3cf7d11d631895ec9f40eef19bcae4dec3190ef66c5824fcbabbb",
     "679759fa324b736e251919ac48b9701ae5144335300d97f1d2c82efcf18a5618",
-    "11dba081e99db4bdf738571ef352e05301b3cde8d788c7415f47d4d6d3bc9f6f",
+    "cca24195b66a8c6faebcc004a5202c0f4cb370ed47903e68cbfadda4a476aa90",
     "ec5db5350294bcd1ebcc35be0b852ae876a0588a9fa095871a08a46a6523cc82",
 ]
 
@@ -205,15 +206,16 @@ ACCEPTANCE2_DIGESTS = [
 # when it finishes the replay (test_handoff_cells_wait_in_every_hold)
 HANDOFF_DIGESTS = [
     "5b34bfdc2f984761de6379a04bb6f11d0f043d233d079dd488fceb43933ee934",
-    "8ac3bc51510c431f7e3835916b868c442b0901200094776d897fcb0322b10e02",
+    "1273c8ae5ca8a21d45ba662550000f4ae2ff024a37445453f4d5fea4132637d0",
 ]
 
-# a control message rides a wake on its way in each: frozen arrives 1.0 and
-# 9.73 ms after its publish, replay_idle 3.0 ms (test_riding_cells_ride)
+# only the last cell's replay_idle still rides a wake on its way: it arrives
+# 4.0 ms after its publish (test_riding_cells_ride)
 RIDING_DIGESTS = [
-    "7a257adbca70483721aeebdf5eee6a0e276f9f7c8d27521686f532f11f71cb6d",
-    "447f42817575e025aed847d3108dc3340ee96c43d0363f68453f7c489f9284ca",
-    "b969bdcc671110d93959310b25550ffb90415300970213a237d72c8c386f91d7",
+    "50982acb22a347633161c0cd345332f0cdb4cedecf26e0c2c044cf3cc0d12452",
+    "04f5cfea9d457b37a0de9f61800e5610e0313deef8d85cb3a98fcfc069d2e276",
+    "836ea2cc69d301b10d31eb27c6cf130c99fb42af8b8d31fcc9b9e61651427227",
+    "f744a23c776bff9bbccbd37096a0600e9b1ec1c0b5b40ad4eb11a2c1debb9a7f",
 ]
 
 EVENTS = {
@@ -239,7 +241,7 @@ EVENTS = {
         671, 719,
     ],
     "riding": [
-        697, 719, 684,
+        697, 721, 684, 474,
     ],
 }
 
@@ -311,16 +313,28 @@ RIDING_LATENCY_MS = 10.0
 
 
 def riding_cells():
-    """Yield (label, SimParams) for three MS2M cells in which a control
-    message arrives sooner than delivery_latency_ms after its publish: the
-    grid's hosts and link without jitter, 10 ms delivery latency, handoff
-    threshold 3, 7 ms processing and workload seeds 8, 12 and 32."""
+    """Yield (label, SimParams) for four MS2M cells with 10 ms delivery
+    latency. The first three are the grid's hosts and link without jitter,
+    handoff threshold 3, 7 ms processing and workload seeds 8, 12 and 32;
+    a frozen or replay_idle in each rode a wake until the replay hook left
+    with replay. The fourth, a ConstantRate 60/s stream with 1 ms
+    processing, faster hosts and a 20 ms link, keeps a ride: the target's
+    replay_idle, published in RESTORE, rides the wake of restored."""
     for seed in (8, 12, 32):
         params = _params(Technique.MS2M,
                          (RIDING_LATENCY_MS, "threshold3", 7.0))
         yield f"riding seed {seed}", dataclasses.replace(
             params, link=dataclasses.replace(params.link, jitter_frac=0.0),
             workload=dataclasses.replace(params.workload, seed=seed))
+    yield "riding restore", SimParams(
+        source_host=Host("a", checkpoint_fixed_ms=20.0,
+                         checkpoint_ms_per_kib=8.0),
+        target_host=Host("b", restore_fixed_ms=10.0, restore_ms_per_kib=8.0),
+        link=Link("a", "b", latency_ms=20.0, bandwidth_kib_per_s=1024.0),
+        workload=WorkloadSpec("ConstantRate", 60.0, 2500.0),
+        processing_ms=1.0, pause_ms=3.0, continuation_ms=3.0,
+        technique=Technique.MS2M, trigger_ms=TRIGGER_MS,
+        delivery_latency_ms=RIDING_LATENCY_MS)
 
 
 def _canon(x):
@@ -474,34 +488,40 @@ def test_riding_cells_match_golden():
 
 
 def test_riding_cells_ride(monkeypatch):
-    """Each riding cell delivers a control message sooner than the delivery
-    latency after its publish, riding a broker wake to its queue that was
-    already on its way. A queue delivers in publish order and each event
-    name goes to one queue, so a delivery is matched to the oldest
-    unmatched publish of its name."""
+    """Only the last riding cell delivers a control message sooner than the
+    delivery latency after its publish, riding a broker wake to its queue
+    that was already on its way: its replay_idle, published in RESTORE,
+    which the first decision consumes. A queue delivers in publish order
+    and each event name goes to one queue, so a delivery is matched to the
+    oldest unmatched publish of its name."""
     real_send = MigrationManager._send
     real_on_event = MigrationManager._on_event
     sent, early = {}, []
 
     def send(self, queue, event):
-        sent.setdefault(event, []).append(self.clock.now)
+        sent.setdefault(event, []).append((self.clock.now, self.state))
         real_send(self, queue, event)
 
     def on_event(self, event):
         if sent.get(event):  # a timer's event is never sent
-            delay = self.clock.now - sent[event].pop(0)
+            at, state = sent[event].pop(0)
+            delay = self.clock.now - at
             # a margin, so that a full hop's float rounding is not early
             if delay < RIDING_LATENCY_MS - 1e-6:
-                early.append(event)
+                early.append((event, state, round(delay, 6)))
         real_on_event(self, event)
 
     monkeypatch.setattr(MigrationManager, "_send", send)
     monkeypatch.setattr(MigrationManager, "_on_event", on_event)
+    rides = {}
     for label, params in riding_cells():
         sent.clear()
         early.clear()
         Simulation(params).run()
-        assert early, label
+        rides[label] = list(early)
+    assert rides == {"riding seed 8": [], "riding seed 12": [],
+                     "riding seed 32": [],
+                     "riding restore": [("replay_idle", State.RESTORE, 4.0)]}
 
 
 @pytest.mark.parametrize("kind", sorted(CELL_SETS))

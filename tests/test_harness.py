@@ -157,6 +157,20 @@ def test_compare_single_technique_has_no_deltas():
     assert "vs" not in cmp.format_text()
 
 
+def test_compare_prints_a_reduction_it_cannot_compute_as_na(tmp_path,
+                                                          capsys):
+    # a baseline with no paused downtime leaves every reduction undefined,
+    # while the total delta still is one
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    export_csv([_row("MS2M", total_ms=10.0)], a)
+    export_csv([_row("StopAndCopy", total_ms=10.0)], b)
+    assert main(["compare", str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert "  total migration time  +0.00%\n" in out
+    assert out.endswith("  downtime reduction: paused n/a, strict n/a,"
+                        " p+c+t n/a\n")
+
+
 def test_compare_summarizes_a_technique_with_no_completed_trial():
     # stress_overload.json aborts every MS2M cell; its means are taken over
     # the aborted trials rather than over none

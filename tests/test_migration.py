@@ -971,26 +971,80 @@ def _phase_lengths(technique, latency, overload) -> dict[str, float]:
     return {s.name: s.duration_ms for s in rec.phase_timeline}
 
 
+def _drawn_cell(technique, latency, overload, fault):
+    """_cell, with a crash a share of the way into a phase when fault is
+    (phase, share): from the phase's start to past its end in the
+    fault-free run. A phase the technique never enters gets offset 0 and
+    never fires."""
+    params = _cell(technique, latency, overload)
+    if fault is None:
+        return params
+    phase, share = fault
+    length = _phase_lengths(technique, latency, overload).get(phase.value, 0.0)
+    return dataclasses.replace(params, fault=FaultSpec(
+        phase=phase.value, offset_ms=share * length))
+
+
+DRAWS = given(technique=st.sampled_from(list(Technique)),
+              latency=st.sampled_from([0.0, 0.7]),
+              overload=st.booleans(),
+              fault=st.none() | st.tuples(st.sampled_from(list(Phase)),
+                                          st.floats(0.0, 1.25)))
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(technique=st.sampled_from(list(Technique)),
-       latency=st.sampled_from([0.0, 0.7]),
-       overload=st.booleans(),
-       fault=st.none() | st.tuples(st.sampled_from(list(Phase)),
-                                   st.floats(0.0, 1.25)))
+@DRAWS
 def test_dispatch_trace_walks_the_declared_graph(technique, latency,
                                                  overload, fault):
-    params = _cell(technique, latency, overload)
-    if fault is not None:
-        # from the phase's start to past its end in the fault-free run; a
-        # phase the technique never enters gets offset 0 and never fires
-        phase, share = fault
-        length = _phase_lengths(technique, latency, overload).get(
-            phase.value, 0.0)
-        params = dataclasses.replace(params, fault=FaultSpec(
-            phase=phase.value, offset_ms=share * length))
-    res, trace = _traced_run(params)
+    res, trace = _traced_run(_drawn_cell(technique, latency, overload, fault))
     _assert_walk(trace, GRAPHS[technique])
     assert res.record.outcome is not None
+
+
+def _consumable(graph, state) -> set[str]:
+    """The events with a row in state or in a state the graph leads to from
+    it: what a control message published in state can still be taken as."""
+    reached, todo = set(), [state]
+    while todo:
+        at = todo.pop()
+        if at not in reached:
+            reached.add(at)
+            todo += [n for (s, _e), row in graph.items() if s is at
+                     for n in _nexts(row)]
+    return {event for s, event in graph if s in reached}
+
+
+def _unconsumable_sends(params) -> list[tuple[State, str]]:
+    """Run a cell with a spy on MigrationManager._send. Returns (state,
+    event) for every control message published in a state from which the
+    graph reaches no row for its event, so that it can only be dropped."""
+    graph = GRAPHS[params.technique]
+    found = []
+    real_send = MigrationManager._send
+
+    def send(self, queue, event):
+        if event not in _consumable(graph, self.state):
+            found.append((self.state, event))
+        real_send(self, queue, event)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MigrationManager, "_send", send)
+        _run(params)
+    return found
+
+
+def test_a_discard_a_crash_overtook_is_not_answered():
+    # the crash stopped the target already: nothing waits for a discarded
+    assert _unconsumable_sends(_crash_while_discard_in_flight()) == []
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@DRAWS
+def test_every_control_message_is_sent_where_it_can_be_consumed(
+        technique, latency, overload, fault):
+    # the replay hook leaves with replay, so no replay_idle trails a handoff
+    assert _unconsumable_sends(
+        _drawn_cell(technique, latency, overload, fault)) == []
 
 
 # -- the replay monitor -----------------------------------------------------------

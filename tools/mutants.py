@@ -255,9 +255,14 @@ MUTANTS = [
            "tests/test_migration.py::test_no_timer_fires_after_the_migration_ends"),
     Mutant("a decision keeps its pending check", "src/migsim/migration.py",
            "        self._cancel_timer()\n"
-           "        if decision is Decision.HANDOFF:\n",
-           "        if decision is Decision.HANDOFF:\n",
+           "        self.target_instance.on_idle = None\n",
+           "        self.target_instance.on_idle = None\n",
            "tests/test_migration.py::test_no_check_fires_after_the_monitor_hands_off"),
+    Mutant("the replay hook outlives replay", "src/migsim/migration.py",
+           "        self.target_instance.on_idle = None\n"
+           "        if decision is Decision.HANDOFF:\n",
+           "        if decision is Decision.HANDOFF:\n",
+           "tests/test_migration.py::test_every_control_message_is_sent_where_it_can_be_consumed"),
     Mutant("a fired timer stays pending", "src/migsim/migration.py",
            "            self._timer = None\n"
            "            self._on_event(event)\n",
@@ -301,10 +306,6 @@ MUTANTS = [
            "            (r for (_s, e), r in self._graph.items() if e == event),"
            " None)\n",
            "tests/test_migration.py::test_a_known_event_with_no_row_is_dropped"),
-    Mutant("a late discard is dropped in DONE", "src/migsim/migration.py",
-           "        (State.DONE, \"discard\"): (_discard_target, State.DONE),\n",
-           "",
-           "tests/test_readme.py::test_protocol_tables_match_the_graphs"),
     # -- harness and config -------------------------------------------------------
     Mutant("compare times only completed trials", "src/migsim/harness.py",
            "        if not timed:\n"
